@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 from .exact_linalg import IntMatrix, kernel_basis, rank
@@ -112,6 +113,86 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
             found_masks.append(mask)
     vectors.sort()
     return CircuitBasis(matrix=a, circuits=tuple(Circuit.from_vector(v) for v in vectors))
+
+
+def _reduce(
+    v: Sequence[int], echelon: Sequence[tuple[int, tuple[int, ...]]]
+) -> tuple[int, tuple[int, ...]] | None:
+    """Reduce ``v`` against an integer echelon form; ``None`` when dependent.
+
+    ``echelon`` holds ``(pivot, row)`` pairs, each row zero at the pivots of
+    the rows before it.  Clearing ``v`` at every pivot by a fraction-free
+    row operation leaves zero exactly when ``v`` lies in their span;
+    otherwise the primitive remainder, with its first nonzero coordinate as
+    pivot, extends the form by one row.
+    """
+    for p, row in echelon:
+        f = v[p]
+        if f:
+            g = row[p]
+            v = [g * x - f * y for x, y in zip(v, row)]
+    pivot = next((i for i, x in enumerate(v) if x), None)
+    if pivot is None:
+        return None
+    g = gcd(*v)
+    return pivot, tuple(x // g for x in v)
+
+
+def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
+    """The 0/1 circuits of ``a``, found without the full circuit basis.
+
+    A column set ``S`` carries a binary circuit exactly when
+    ``S = I + {c}`` with ``I`` linearly independent, ``c > max(I)`` and
+    ``col_c == -sum(col_i for i in I)``: the all-ones vector on ``S`` then
+    spans the kernel of ``a[:, S]``, whose nullity is one.  Depth-first
+    search over independent sets ``I`` in increasing index order, at most
+    ``rank(a)`` deep, carrying the running column sum and an integer echelon
+    form extended one column at a time; a column that reduces to zero is
+    dependent and its branch is cut.  Each node looks ``-sum(I)`` up among
+    the columns, so every circuit is found once, through its largest index,
+    and the empty ``I`` finds the zero columns.  The vectors come back in
+    ascending lexicographic order: the list
+    ``[c.vector for c in binary_circuits(circuit_basis(a))]``.
+    """
+    n = a.n_cols
+    cols = a.columns()
+    where: dict[tuple[int, ...], list[int]] = {}
+    for j, col in enumerate(cols):
+        where.setdefault(tuple(-x for x in col), []).append(j)
+    depth = rank(a)
+    chosen: list[int] = []
+    vectors: list[tuple[int, ...]] = []
+
+    def emit(c: int) -> None:
+        v = [0] * n
+        for i in (*chosen, c):
+            v[i] = 1
+        vectors.append(tuple(v))
+
+    def search(start: int, total: tuple[int, ...], echelon: list) -> None:
+        for j in range(start, n):
+            grown = tuple(x + y for x, y in zip(total, cols[j]))
+            closing = [c for c in where.get(grown, ()) if c > j]
+            last = len(chosen) + 1 == depth
+            # a full-rank I has no children, so unless it closes a circuit
+            # its independence test is wasted
+            if last and not closing:
+                continue
+            reduced = _reduce(cols[j], echelon)
+            if reduced is None:
+                continue
+            chosen.append(j)
+            for c in closing:
+                emit(c)
+            if not last:
+                search(j + 1, grown, [*echelon, reduced])
+            chosen.pop()
+
+    for c in where.get((0,) * a.n_rows, ()):
+        emit(c)
+    search(0, (0,) * a.n_rows, [])
+    vectors.sort()
+    return vectors
 
 
 def nonnegative_circuits(basis: CircuitBasis) -> list[Circuit]:

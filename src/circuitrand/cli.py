@@ -352,9 +352,10 @@ def _randomise_check(args: argparse.Namespace, model: ContrastModel) -> int:
         system = RandomisationSystem.from_blocks(model.n_runs, blocks)
     except ValueError as exc:
         raise CliError(EXIT_INVALID_SYSTEM, f"invalid system: {exc}") from exc
+    columns = model.contrast.columns()
     for block in system.blocks:
-        for j in range(model.contrast.n_cols):
-            product = sum(model.contrast.column(j)[i] for i in block)
+        for j, column in enumerate(columns):
+            product = sum(column[i] for i in block)
             if product != 0:
                 raise CliError(
                     EXIT_INVALID_SYSTEM,

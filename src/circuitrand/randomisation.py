@@ -7,7 +7,10 @@ runs inside such blocks (and the blocks of equal size among themselves)
 leaves the contrast estimates untouched.  Binary nonnegative circuits of the
 transposed contrast matrix are the minimal valid blocks, and partitions of
 the runs into circuit supports, found by exact cover, are the systems this
-module enumerates.
+module enumerates.  The supports are searched for directly
+(:func:`~circuitrand.circuits.binary_circuit_vectors`), without building the
+mixed-sign circuit basis, and the refinement edges among the systems follow
+in closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .circuits import binary_circuits, circuit_basis
+# circuit_basis stays importable here: bench/worker.py traces randomisation.circuit_basis
+from .circuits import binary_circuit_vectors, circuit_basis  # noqa: F401
 from .contrast import ContrastModel
 from .exact_linalg import IntMatrix
 
@@ -92,9 +96,11 @@ class SchemeCatalog:
     ``shape_counts`` maps the multiset of block sizes (descending tuple) to
     the number of systems with that shape.  ``refinement_edges`` lists the
     covering pairs ``(coarser_index, finer_index)`` of the refinement order
-    on ``systems``; distinct circuit-based systems never refine one another
-    (circuit supports are inclusion-minimal), so edges appear only when the
-    single-block full randomisation is included.
+    on ``systems``.  It is written down, not searched for: distinct
+    circuit-based systems never refine one another (a block inside another
+    block of a cover by inclusion-minimal supports is that block), so the
+    edges are ``(full, j)`` for every other system ``j`` when the
+    single-block full randomisation is included, and none otherwise.
     """
 
     model: ContrastModel
@@ -122,8 +128,7 @@ def is_valid_randomisation(model: ContrastModel, system: RandomisationSystem) ->
 
 @lru_cache(maxsize=64)
 def _randomisation_vectors(model: ContrastModel) -> tuple[tuple[int, ...], ...]:
-    basis = circuit_basis(model.contrast.transpose())
-    return tuple(c.vector for c in binary_circuits(basis))
+    return tuple(binary_circuit_vectors(model.contrast.transpose()))
 
 
 def randomisation_vectors(model: ContrastModel) -> list[tuple[int, ...]]:
@@ -209,22 +214,6 @@ def shared_blocks(
     return sorted(common, key=lambda b: (len(b), b[0]))
 
 
-def _covering_edges(systems: Sequence[RandomisationSystem]) -> tuple[tuple[int, int], ...]:
-    """Covering pairs (coarser, finer) of the strict refinement order."""
-    strict = {
-        (i, j)
-        for i in range(len(systems))
-        for j in range(len(systems))
-        if i != j and refines(systems[j], systems[i])
-    }
-    edges = [
-        (i, j)
-        for (i, j) in strict
-        if not any((i, k) in strict and (k, j) in strict for k in range(len(systems)))
-    ]
-    return tuple(sorted(edges))
-
-
 def enumerate_circuit_randomisations(
     model: ContrastModel, include_full: bool = False
 ) -> SchemeCatalog:
@@ -235,7 +224,8 @@ def enumerate_circuit_randomisations(
     blocks >= 2 and are dropped).  The trivial single-block randomisation,
     valid for every model, is appended only when ``include_full`` is set;
     its block is usually not a circuit support.  Systems are sorted by their
-    canonical block tuples.
+    canonical block tuples; the refinement edges follow in closed form, as
+    :class:`SchemeCatalog` describes.
     """
     n = model.n_runs
     supports = [
@@ -244,17 +234,19 @@ def enumerate_circuit_randomisations(
     ]
     supports = [s for s in supports if len(s) >= 2]
     systems = [s for s in _cover_systems(n, supports) if len(s.blocks) >= 2]
+    edges: tuple[tuple[int, int], ...] = ()
     if include_full and n >= 2:
         full = RandomisationSystem.from_blocks(n, [range(n)])
-        if full not in systems:
-            systems.append(full)
-            systems.sort(key=lambda s: s.blocks)
+        systems.append(full)
+        systems.sort(key=lambda s: s.blocks)
+        at = systems.index(full)
+        edges = tuple((at, j) for j in range(len(systems)) if j != at)
     shape_counts = Counter(s.shape for s in systems)
     return SchemeCatalog(
         model=model,
         systems=tuple(systems),
         shape_counts=dict(sorted(shape_counts.items(), reverse=True)),
-        refinement_edges=_covering_edges(systems),
+        refinement_edges=edges,
     )
 
 

@@ -172,3 +172,37 @@ def random_balanced_digraph(rng: random.Random, max_edges: int = 8) -> list[tupl
     if not edges:
         edges = {(0, 1), (1, 0)}
     return sorted(edges)
+
+
+def covering_pairs(partitions: Sequence[Iterable[Iterable[int]]]) -> list[tuple[int, int]]:
+    """Covering pairs ``(coarser, finer)`` of the refinement order, by definition.
+
+    Partition ``j`` strictly refines partition ``i`` when the two differ and
+    every block of ``j`` lies inside some block of ``i``.  A covering pair is
+    a strict refinement with no partition of the list strictly between.
+    """
+    parts = [frozenset(frozenset(b) for b in p) for p in partitions]
+    strict = {
+        (i, j)
+        for i, coarse in enumerate(parts)
+        for j, fine in enumerate(parts)
+        if fine != coarse and all(any(b <= c for c in coarse) for b in fine)
+    }
+    return sorted(
+        (i, j)
+        for i, j in strict
+        if not any((i, k) in strict and (k, j) in strict for k in range(len(parts)))
+    )
+
+
+def is_simple_directed_cycle(edges: Sequence[tuple[int, int]]) -> bool:
+    """True when the (tail, head) pairs form one directed cycle through distinct vertices."""
+    succ = dict(edges)
+    if not edges or len(succ) != len(edges) or set(succ.values()) != set(succ):
+        return False
+    start = vertex = edges[0][0]
+    seen = set()
+    for _ in edges:
+        seen.add(vertex)
+        vertex = succ[vertex]
+    return vertex == start and len(seen) == len(edges)

@@ -221,6 +221,25 @@ def test_criterion_05_digraph_example(criterion_report):
     )
 
 
+def test_digraph_systems_outside_the_paper_table_are_cycle_decompositions():
+    """Certify the 25 digraph systems that criterion 5 counts beyond the paper.
+
+    Each one is checked from its definition: every block is a simple directed
+    cycle of the digraph, the blocks partition the 15 edges, and every block
+    is orthogonal to the contrasts.
+    """
+    model = to_contrast_form(digraph_design(digraph_five()))
+    catalog = enumerate_circuit_randomisations(model)
+    extra = [s for s in catalog.systems if s.shape not in REQUIRED_DIGRAPH_SHAPES]
+    assert Counter(s.shape for s in extra) == {(5, 4, 3, 3): 15, (4, 3, 3, 3, 2): 10}
+    columns = model.contrast.columns()
+    for system in extra:
+        assert sorted(i for b in system.blocks for i in b) == list(range(len(DIGRAPH_EDGES)))
+        for block in system.blocks:
+            assert oracles.is_simple_directed_cycle([DIGRAPH_EDGES[i] for i in block])
+            assert all(sum(col[i] for i in block) == 0 for col in columns)
+
+
 def test_criterion_06_tu_properties(criterion_report):
     budget = 30.0
     start = time.perf_counter()

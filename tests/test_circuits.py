@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitrand.circuits import (
     Circuit,
     NotInKernelError,
+    binary_circuit_vectors,
     binary_circuits,
     circuit_basis,
     conformal_decompose,
@@ -39,6 +42,41 @@ def test_circuit_basis_matches_brute_force():
         rows = [[rng.randint(-2, 2) for _ in range(n_cols)] for _ in range(n_rows)]
         basis = circuit_basis(IntMatrix.from_rows(rows, n_cols=n_cols))
         assert sorted(c.vector for c in basis.circuits) == oracles.brute_circuit_vectors(rows, n_cols)
+
+
+@st.composite
+def matrices_with_related_columns(draw):
+    """Small integer matrices whose columns repeat, cancel and vanish.
+
+    Besides random columns, some are zero, some are copies or negations of
+    another, and some close a binary circuit by negating the sum of others.
+    """
+    n_rows = draw(st.integers(1, 3))
+    column = st.lists(st.integers(-2, 2), min_size=n_rows, max_size=n_rows)
+    cols = draw(st.lists(column, min_size=1, max_size=5))
+    base = list(cols)
+    for kind in draw(st.lists(st.sampled_from(["zero", "copy", "negate", "close"]), max_size=3)):
+        if kind == "zero":
+            cols.append([0] * n_rows)
+            continue
+        size = 3 if kind == "close" else 1
+        picked = draw(st.lists(st.sampled_from(base), min_size=1, max_size=size))
+        total = [sum(c[r] for c in picked) for r in range(n_rows)]
+        cols.append(total if kind == "copy" else [-x for x in total])
+    cols = draw(st.permutations(cols))
+    return [[c[r] for c in cols] for r in range(n_rows)], len(cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_with_related_columns())
+def test_binary_circuit_search_matches_basis_and_oracle(drawn):
+    rows, n_cols = drawn
+    m = IntMatrix.from_rows(rows, n_cols=n_cols)
+    vectors = binary_circuit_vectors(m)
+    assert vectors == [c.vector for c in binary_circuits(circuit_basis(m))]
+    assert vectors == sorted(set(vectors))
+    brute = oracles.brute_circuit_vectors(rows, n_cols)
+    assert vectors == [v for v in brute if set(v) <= {0, 1}]
 
 
 def test_circuits_listed_in_ascending_vector_order():

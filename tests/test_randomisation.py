@@ -1,11 +1,21 @@
+import time
+from fractions import Fraction
+
 import pytest
 
+from circuitrand.circuits import binary_circuit_vectors, binary_circuits, circuit_basis
 from circuitrand.contrast import to_contrast_form
-from circuitrand.design_catalog import digraph_design, factorial_two_level
+from circuitrand.design_catalog import (
+    anova_two_way,
+    choice_k_of_2k,
+    digraph_design,
+    factorial_two_level,
+)
 from circuitrand.randomisation import (
     DimensionMismatchError,
     NotARandomisationVectorError,
     RandomisationSystem,
+    _randomisation_vectors,
     enumerate_circuit_randomisations,
     is_decomposable,
     is_valid_randomisation,
@@ -16,6 +26,24 @@ from circuitrand.randomisation import (
 from circuitrand.unimodular import DirectedGraph
 
 import oracles
+from conftest import digraph_five
+
+
+def three_two_cycles():
+    g = DirectedGraph.from_edges([(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)], 6)
+    return digraph_design(g)
+
+
+CATALOG_DESIGNS = {
+    "2^2": lambda: factorial_two_level(2),
+    "2^3": lambda: factorial_two_level(3),
+    "2^4": lambda: factorial_two_level(4),
+    "anova 3x3": lambda: anova_two_way(3, 3),
+    "anova 2x4": lambda: anova_two_way(2, 4),
+    "choice k=2": lambda: choice_k_of_2k(2),
+    "digraph5": lambda: digraph_design(digraph_five()),
+    "three 2-cycles": three_two_cycles,
+}
 
 
 def blocks1(system):
@@ -125,11 +153,56 @@ def test_refines_and_shared_blocks():
 
 def test_refinement_edges_cover_relation():
     # Three disjoint 2-cycles: the partition lattice of cycle families.
-    g = DirectedGraph.from_edges([(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)], 6)
-    model = to_contrast_form(digraph_design(g))
+    model = to_contrast_form(three_two_cycles())
     catalog = enumerate_circuit_randomisations(model)
     assert [s.shape for s in catalog.systems] == [(2, 2, 2)]
     assert catalog.refinement_edges == ()
+
+
+def test_covering_pairs_oracle_on_a_chain():
+    fine = [[0, 1], [2, 3], [4, 5]]
+    middle = [[0, 1], [2, 3, 4, 5]]
+    full = [[0, 1, 2, 3, 4, 5]]
+    other = [[0, 2], [1, 3], [4, 5]]
+    assert oracles.covering_pairs([fine, middle, full, other]) == [(1, 0), (2, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("name", ["2^3", "2^4", "three 2-cycles"])
+@pytest.mark.parametrize("include_full", [False, True])
+def test_refinement_edges_match_covering_oracle(name, include_full):
+    model = to_contrast_form(CATALOG_DESIGNS[name]())
+    catalog = enumerate_circuit_randomisations(model, include_full=include_full)
+    expected = oracles.covering_pairs([s.blocks for s in catalog.systems])
+    assert list(catalog.refinement_edges) == expected
+    assert len(expected) == (len(catalog) - 1 if include_full else 0)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_DESIGNS))
+def test_binary_support_search_matches_full_basis(name):
+    model = to_contrast_form(CATALOG_DESIGNS[name]())
+    a = model.contrast.transpose()
+    expected = [c.vector for c in binary_circuits(circuit_basis(a))]
+    assert binary_circuit_vectors(a) == expected
+    assert randomisation_vectors(model) == expected
+
+
+def test_two_fifth_supports_without_the_full_basis():
+    """2^5 has 76,368 circuits, too many to list; its binary ones are searched directly."""
+    _randomisation_vectors.cache_clear()
+    start = time.perf_counter()
+    model = to_contrast_form(factorial_two_level(5))
+    vectors = randomisation_vectors(model)
+    elapsed = time.perf_counter() - start
+    assert len(vectors) == 1080 and len(set(vectors)) == 1080
+    columns = model.contrast.columns()
+    for v in vectors:
+        assert set(v) == {0, 1}
+        support = [i for i, x in enumerate(v) if x]
+        assert all(sum(col[i] for i in support) == 0 for col in columns)
+        rows = [[Fraction(x) for x in model.contrast.rows[i]] for i in support]
+        _, pivots = oracles.rref(rows)
+        assert len(pivots) == len(support) - 1
+    assert elapsed < 30.0
 
 
 def test_is_decomposable(model_2cubed):
