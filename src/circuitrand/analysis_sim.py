@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Sequence
 
 from .contrast import ContrastModel
@@ -26,7 +25,7 @@ from .exact_linalg import (
     IntMatrix,
     RationalMatrix,
     SingularError,
-    rank,
+    pivot_columns,
     rational_solve,
 )
 from .randomisation import DimensionMismatchError, RandomisationSystem
@@ -145,34 +144,24 @@ def naive_block_bias(
     return lse_contrast_estimates(model, shift)
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
-
-
 def _is_psd(m: RationalMatrix) -> bool:
-    # symmetric rational matrix is PSD iff every principal minor is >= 0
-    idx = range(m.n_rows)
-    for size in range(1, m.n_rows + 1):
-        for subset in combinations(idx, size):
-            sub = [[m.rows[i][j] for j in subset] for i in subset]
-            if _det(sub) < 0:
-                return False
+    """Whether a symmetric rational matrix is positive semidefinite.
+
+    Exact LDL^T with diagonal pivoting: eliminating on a positive diagonal
+    entry leaves a Schur complement that is PSD exactly when ``m`` is.  Once
+    no diagonal entry is positive, a PSD remainder must be zero.
+    """
+    a = [list(row) for row in m.rows]
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i] > 0), None)
+        if k is None:
+            return not any(x for row in a for x in row)
+        pivot_row = a.pop(k)
+        p = pivot_row.pop(k)
+        for row in a:
+            f = row.pop(k) / p
+            for j, x in enumerate(pivot_row):
+                row[j] -= f * x
     return True
 
 
@@ -206,16 +195,11 @@ def covariance_comparison(model: ContrastModel, z: IntMatrix) -> CovarianceOrder
     )
     naive_block = naive.submatrix(range(1, q + 1), range(1, q + 1))
 
-    cols = [model.contrast.column(j) for j in range(q)]
-    for j in range(z.n_cols):
-        cand = cols + [z.column(j)]
-        if rank(IntMatrix.from_rows(zip(*cand), n_cols=len(cand))) == len(cand):
-            cols = cand
-    ones = tuple(1 for _ in range(model.n_runs))
-    cand = cols + [ones]
-    if rank(IntMatrix.from_rows(zip(*cand), n_cols=len(cand))) == len(cand):
-        cols = cand
-    blocked_design = IntMatrix.from_rows(zip(*cols), n_cols=len(cols)).to_rational()
+    ones = IntMatrix.from_rows(((1,) for _ in range(model.n_runs)), n_cols=1)
+    full = model.contrast.hstack(z).hstack(ones)
+    # every contrast column stays; indicator and ones columns only if independent
+    kept = [*range(q), *(c for c in pivot_columns(full) if c >= q)]
+    blocked_design = full.restrict_columns(kept).to_rational()
     blocked = _inverse(blocked_design.transpose().mul(blocked_design))
     blocked_block = blocked.submatrix(range(q), range(q))
 

@@ -13,16 +13,12 @@ and report (matching the usual block notation), 0-based inside the library.
 
 Exit codes: 0 success, 2 unparseable input or invalid parameters, 3 model
 precondition violated, 4 invalid randomisation system, 5 budget exceeded.
-The environment variable CIRCUITRAND_THREADS (a positive integer) caps
-internal parallelism; every computation in this build is sequential, so the
-setting is validated but never changes any output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,7 +194,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _contrast_model(matrix: IntMatrix, path: str) -> ContrastModel:
-    design = _design_from_matrix(matrix)
+    try:
+        design = _design_from_matrix(matrix)
+    except ValueError as exc:
+        raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
     try:
         return to_contrast_form(design)
     except JNotInColumnSpaceError as exc:
@@ -563,27 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_thread_env() -> None:
-    raw = os.environ.get("CIRCUITRAND_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(
-            EXIT_PARAMS, f"CIRCUITRAND_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise CliError(
-            EXIT_PARAMS, f"CIRCUITRAND_THREADS must be a positive integer, got {raw!r}"
-        )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_env()
         return args.func(args)
     except CliError as exc:
         print(f"circuitrand: {exc}", file=sys.stderr)

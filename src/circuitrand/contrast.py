@@ -18,7 +18,7 @@ from .exact_linalg import (
     IntMatrix,
     RationalMatrix,
     clear_denominators,
-    rank,
+    pivot_columns,
     rational_solve,
 )
 
@@ -87,36 +87,19 @@ class ContrastModel:
         return ones.hstack(self.contrast)
 
 
-def _independent_columns(columns: Sequence[tuple[int, ...]]) -> list[int]:
-    """Indices of a greedy maximal linearly independent subset, scanning left to right."""
-    echelon: list[list[Fraction]] = []
-    kept: list[int] = []
-    for idx, col in enumerate(columns):
-        v = [Fraction(x) for x in col]
-        for row in echelon:
-            lead = next(i for i, x in enumerate(row) if x)
-            if v[lead]:
-                f = v[lead] / row[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(v):
-            echelon.append(v)
-            kept.append(idx)
-    return kept
-
-
 def to_contrast_form(design: DesignModel) -> ContrastModel:
     """Rewrite a design model in contrast form.
 
     Each column ``c`` of the design is centred to ``n*c - (j.c)*j``, scaled
-    to a primitive integer vector; a greedy left-to-right scan keeps a
-    maximal independent set of the nonzero centred columns.  Raises
-    :class:`JNotInColumnSpaceError` when the all-ones vector is outside the
-    design's column space.
+    to a primitive integer vector; the pivot columns of the nonzero centred
+    columns, a maximal independent set kept left to right, are the
+    contrasts.  Raises :class:`JNotInColumnSpaceError` when the all-ones
+    vector is outside the design's column space.
     """
     x = design.matrix
     n = x.n_rows
     ones = IntMatrix.from_rows(((1,) for _ in range(n)), n_cols=1)
-    if rank(x.hstack(ones)) != rank(x):
+    if x.n_cols in pivot_columns(x.hstack(ones)):
         raise JNotInColumnSpaceError("the all-ones vector is not in the column space")
 
     centred: list[tuple[int, ...]] = []
@@ -126,12 +109,10 @@ def to_contrast_form(design: DesignModel) -> ContrastModel:
         w = tuple(n * v - total for v in col)
         if any(w):
             centred.append(clear_denominators(w))
-    kept = _independent_columns(centred)
-    contrast_cols = [centred[i] for i in kept]
-    contrast = IntMatrix.from_rows(
-        (tuple(col[i] for col in contrast_cols) for i in range(n)),
-        n_cols=len(contrast_cols),
+    centred_matrix = IntMatrix.from_rows(
+        (tuple(col[i] for col in centred) for i in range(n)), n_cols=len(centred)
     )
+    contrast = centred_matrix.restrict_columns(pivot_columns(centred_matrix))
 
     model = ones.hstack(contrast)
     mt = model.transpose().to_rational()

@@ -220,37 +220,84 @@ def canonical_sign(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(v)
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank of an integer matrix via fraction-free (Bareiss) elimination.
+def _echelon(
+    rows: Sequence[Sequence[int]], n_cols: int
+) -> tuple[list[int], list[list[int]], int]:
+    """Row echelon form of an integer matrix by fraction-free (Bareiss) elimination.
 
-    Intermediate entries are minors of the input, so every division below is
-    exact and the arithmetic stays in the integers.
+    Returns ``(pivots, rows, sign)``: the pivot column of each of the first
+    ``len(pivots)`` rows (the remaining rows are zero), the echelon rows,
+    and the sign of the row swaps.  Intermediate entries are minors of the
+    input, so every division below is exact and the arithmetic stays in the
+    integers.  The last pivot is, up to sign, the minor of the input on its
+    pivot rows and columns; for a square nonsingular input it is ``sign``
+    times the determinant.
     """
-    a = [list(row) for row in m.rows]
-    n_rows, n_cols = m.n_rows, m.n_cols
-    r = 0
+    a = [list(row) for row in rows]
+    n_rows = len(a)
+    pivots: list[int] = []
+    sign = 1
     prev = 1
     for c in range(n_cols):
+        r = len(pivots)
         if r == n_rows:
             break
         pivot = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        p = a[r][c]
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        row_r = a[r]
+        p = row_r[c]
         for i in range(r + 1, n_rows):
-            f = a[i][c]
-            row_i, row_r = a[i], a[r]
+            row_i = a[i]
+            f = row_i[c]
             for j in range(c + 1, n_cols):
                 row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
             row_i[c] = 0
         prev = p
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots, a, sign
+
+
+def _back_substitute(
+    echelon: Sequence[Sequence[int]], pivots: Sequence[int], rhs: Sequence[int]
+) -> tuple[int, list[int]]:
+    """Solve the echelon system on its pivot columns as ``y / d``.
+
+    ``rhs`` is (up to sign) a column of ``echelon``, one entry per pivot
+    row.  Returns ``(d, y)`` with ``sum_k echelon[i][pivots[k]] * y[k] ==
+    d * rhs[i]`` for every pivot row ``i``, where ``d`` is the last pivot
+    (1 when there is none).  By Cramer's rule ``y`` is integral, so every
+    division below is exact.
+    """
+    r = len(pivots)
+    d = echelon[r - 1][pivots[-1]] if r else 1
+    y = [0] * r
+    for i in range(r - 1, -1, -1):
+        row = echelon[i]
+        total = d * rhs[i] - sum(row[pivots[k]] * y[k] for k in range(i + 1, r))
+        y[i] = total // row[pivots[i]]
+    return d, y
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank of an integer matrix: the number of echelon pivots."""
+    return len(_echelon(m.rows, m.n_cols)[0])
+
+
+def pivot_columns(m: IntMatrix) -> list[int]:
+    """Greedy left-to-right maximal linearly independent set of columns.
+
+    Column ``c`` is kept exactly when it is independent of the columns
+    before it; these are the pivot columns of the row echelon form.
+    """
+    return _echelon(m.rows, m.n_cols)[0]
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination).
+    """Exact determinant of a square integer matrix.
 
     Raises :class:`NonSquareError` for rectangular input.  The empty 0x0
     matrix has determinant 1.
@@ -258,97 +305,63 @@ def determinant(m: IntMatrix) -> int:
     if m.n_rows != m.n_cols:
         raise NonSquareError(f"determinant needs a square matrix, got {m.n_rows}x{m.n_cols}")
     n = m.n_rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * p - f * a[k][j]) // prev
-        prev = p
-    return sign * a[n - 1][n - 1]
-
-
-def _rref(m: IntMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rows, pivot columns)."""
-    a = [[Fraction(x) for x in row] for row in m.rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.n_cols):
-        if r == m.n_rows:
-            break
-        pivot = next((i for i in range(r, m.n_rows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m.n_rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    pivots, a, sign = _echelon(m.rows, n)
+    if len(pivots) < n:
+        return 0
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Primitive integer basis of the right kernel ``{v : m v = 0}``.
 
-    One basis vector per free column of the reduced row echelon form, in
-    order of free column index, each scaled to a primitive integer vector
-    whose first nonzero entry is positive.  The list has exactly
-    ``m.n_cols - rank(m)`` elements.
+    One basis vector per free (non-pivot) column, in order of free column
+    index: the kernel vector that is nonzero on that free column and zero
+    on the others, scaled to a primitive integer vector whose first nonzero
+    entry is positive.  The list has exactly ``m.n_cols - rank(m)``
+    elements.
     """
-    a, pivots = _rref(m)
+    pivots, a, _ = _echelon(m.rows, m.n_cols)
     pivot_set = set(pivots)
     basis: list[tuple[int, ...]] = []
     for free in range(m.n_cols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * m.n_cols
-        v[free] = Fraction(1)
-        for row_idx, c in enumerate(pivots):
-            v[c] = -a[row_idx][free]
+        d, y = _back_substitute(a, pivots, [-a[i][free] for i in range(len(pivots))])
+        v = [0] * m.n_cols
+        v[free] = d
+        for c, x in zip(pivots, y):
+            v[c] = x
         basis.append(canonical_sign(clear_denominators(v)))
     return basis
 
 
 def rational_solve(gram: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
-    """Solve ``gram @ X = rhs`` exactly by Gauss-Jordan elimination.
+    """Solve ``gram @ X = rhs`` exactly.
 
-    ``gram`` must be square (else :class:`NonSquareError`) and nonsingular
-    (else :class:`SingularError`); ``rhs`` may have any number of columns.
-    The result satisfies ``gram.mul(result) == rhs`` exactly.
+    Each row of ``[gram | rhs]`` is scaled to integers and the whole is
+    brought to echelon form; ``gram`` is nonsingular exactly when its
+    columns are the first ``n`` pivots.  ``gram`` must be square (else
+    :class:`NonSquareError`) and nonsingular (else :class:`SingularError`);
+    ``rhs`` may have any number of columns.  The result satisfies
+    ``gram.mul(result) == rhs`` exactly.
     """
     if gram.n_rows != gram.n_cols:
         raise NonSquareError(f"solve needs a square matrix, got {gram.n_rows}x{gram.n_cols}")
     if rhs.n_rows != gram.n_rows:
         raise ValueError("right-hand side row count does not match")
     n = gram.n_rows
-    a = [list(gram.rows[i]) + list(rhs.rows[i]) for i in range(n)]
-    width = n + rhs.n_cols
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c]), None)
-        if pivot is None:
-            raise SingularError("coefficient matrix is singular")
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = Fraction(1) / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    scaled = []
+    for row in (g + b for g, b in zip(gram.rows, rhs.rows)):
+        scale = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots, a, _ = _echelon(scaled, n + rhs.n_cols)
+    if pivots[:n] != list(range(n)):
+        raise SingularError("coefficient matrix is singular")
+    columns = [
+        _back_substitute(a, pivots, [a[i][n + k] for i in range(n)])
+        for k in range(rhs.n_cols)
+    ]
     return RationalMatrix.from_rows(
-        (tuple(a[i][n:width]) for i in range(n)), n_cols=rhs.n_cols
+        (tuple(Fraction(y[i], d) for d, y in columns) for i in range(n)),
+        n_cols=rhs.n_cols,
     )

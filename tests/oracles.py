@@ -111,6 +111,16 @@ def det_cofactor(rows: list[list[int]]):
     return total
 
 
+def is_psd_by_minors(rows: Sequence[Sequence]) -> bool:
+    """A symmetric matrix is positive semidefinite iff every principal minor is >= 0."""
+    n = len(rows)
+    return all(
+        det_cofactor([[rows[i][j] for j in sub] for i in sub]) >= 0
+        for size in range(1, n + 1)
+        for sub in itertools.combinations(range(n), size)
+    )
+
+
 def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
     """All set partitions of the given items."""
     items = list(items)

@@ -1,8 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitrand.analysis_sim import (
     CovarianceOrdering,
@@ -15,9 +18,12 @@ from circuitrand.analysis_sim import (
     lse_estimates,
     naive_block_bias,
     simulate_ab,
+    _is_psd,
 )
-from circuitrand.exact_linalg import IntMatrix
+from circuitrand.exact_linalg import IntMatrix, RationalMatrix
 from circuitrand.randomisation import DimensionMismatchError, RandomisationSystem
+
+import oracles
 
 
 def indicator_matrix(n, blocks):
@@ -102,6 +108,47 @@ def test_covariance_comparison_orderings(model_2cubed):
     assert covariance_comparison(model_2cubed, orthogonal) == CovarianceOrdering.EQUAL
     empty = IntMatrix.from_rows([[] for _ in range(8)], n_cols=0)
     assert covariance_comparison(model_2cubed, empty) == CovarianceOrdering.EQUAL
+
+
+def gram(b_rows):
+    return [[sum(x * y for x, y in zip(u, v)) for v in b_rows] for u in b_rows]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices: Gram matrices B B^T (singular ones too),
+    the same with a small amount taken off one diagonal entry, and plain
+    random symmetric ones."""
+    q = draw(st.integers(1, 5))
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    kind = draw(st.sampled_from(["gram", "gram minus", "random"]))
+    if kind == "random":
+        m = [[None] * q for _ in range(q)]
+        for i in range(q):
+            for j in range(i, q):
+                m[i][j] = m[j][i] = draw(small)
+        return m
+    width = draw(st.integers(1, q + 1))
+    m = gram([draw(st.lists(small, min_size=width, max_size=width)) for _ in range(q)])
+    if kind == "gram minus":
+        i = draw(st.integers(0, q - 1))
+        m[i][i] -= Fraction(1, draw(st.integers(1, 50)))
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_is_psd_matches_the_principal_minor_oracle(m):
+    assert _is_psd(RationalMatrix.from_rows(m)) == oracles.is_psd_by_minors(m)
+
+
+def test_is_psd_accepts_a_large_gram_matrix_quickly():
+    rng = random.Random(14)
+    b_rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(14)] for _ in range(14)]
+    start = time.perf_counter()
+    assert _is_psd(RationalMatrix.from_rows(gram(b_rows)))
+    # checking all 16,383 principal minors took about 16 s here; LDL^T takes milliseconds
+    assert time.perf_counter() - start < 0.25
 
 
 def test_analyse_experiment_report(model_2cubed):

@@ -185,6 +185,27 @@ def test_randomise_requires_intercept(capsys, tmp_path):
     assert "all-ones" in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["randomise", "--enumerate"],
+        ["randomise", "--check", "BLOCKS"],
+        ["analyse", "--system", "BLOCKS", "--y", "BLOCKS", "--gamma", "BLOCKS"],
+    ],
+    ids=["enumerate", "check", "analyse"],
+)
+def test_zero_run_design_is_a_parameter_error(capsys, tmp_path, extra):
+    design = tmp_path / "empty.txt"
+    design.write_text("0 3\n")
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("1\n")
+    argv = [extra[0], str(design)] + [str(blocks) if a == "BLOCKS" else a for a in extra[1:]]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"{design}: a design needs at least one run" in err
+
+
 def test_randomise_records(capsys, design_file):
     code, out, _ = run(capsys, ["randomise", design_file, "--enumerate", "--shapes", "--format", "records"])
     data = json.loads(out)
@@ -276,13 +297,3 @@ def test_analyse_simulate(capsys):
 def test_analyse_needs_inputs(capsys):
     code, out, err = run(capsys, ["analyse"])
     assert code == 2
-
-
-def test_thread_env_validation(capsys, monkeypatch, contrast_file):
-    monkeypatch.setenv("CIRCUITRAND_THREADS", "zero")
-    code, out, err = run(capsys, ["tu", contrast_file])
-    assert code == 2
-    assert "CIRCUITRAND_THREADS" in err
-    monkeypatch.setenv("CIRCUITRAND_THREADS", "2")
-    code, out, err = run(capsys, ["tu", contrast_file])
-    assert code == 0

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitrand.exact_linalg import (
     IntMatrix,
@@ -12,6 +14,7 @@ from circuitrand.exact_linalg import (
     clear_denominators,
     determinant,
     kernel_basis,
+    pivot_columns,
     rank,
     rational_solve,
 )
@@ -126,13 +129,83 @@ def test_rational_solve_round_trip():
     rhs = RationalMatrix.from_rows([[1], [0]])
     x = rational_solve(a, rhs)
     assert a.mul(x).rows == rhs.rows
+    a = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(5, 7), Fraction(3, 4)]])
+    rhs = RationalMatrix.from_rows([[Fraction(1, 3), 2], [Fraction(-7, 5), Fraction(1, 6)]])
+    x = rational_solve(a, rhs)
+    assert a.mul(x).rows == rhs.rows
+    assert any(v.denominator > 1 for row in x.rows for v in row)
 
 
 def test_rational_solve_singular():
     a = RationalMatrix.from_rows([[1, 2], [2, 4]])
-    rhs = RationalMatrix.from_rows([[1], [1]])
-    with pytest.raises(SingularError):
-        rational_solve(a, rhs)
+    # with [3] the rank of [a | rhs] is 2, but its second pivot lies in rhs
+    for b in ([1], [3]):
+        rhs = RationalMatrix.from_rows([[1], b])
+        with pytest.raises(SingularError):
+            rational_solve(a, rhs)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices, empty shapes included, with zero and repeated lines.
+
+    Fresh entries lie in [-40, 40]; a column may instead be zero, or a copy,
+    negation, sum or difference of earlier columns, and a row may be zero
+    or a copy of an earlier one, so ranks fall short of the shape.
+    """
+    n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    fresh = st.lists(st.integers(-40, 40), min_size=n_rows, max_size=n_rows)
+    cols: list[list[int]] = []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combine"]))
+        if kind == "zero":
+            cols.append([0] * n_rows)
+        elif kind == "combine" and cols:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            sa, sb = draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 0, 1]))
+            cols.append([sa * x + sb * y for x, y in zip(a, b)])
+        else:
+            cols.append(draw(fresh))
+    rows = [[col[r] for col in cols] for r in range(n_rows)]
+    for r in range(n_rows):
+        kind = draw(st.sampled_from(["keep", "keep", "keep", "zero", "copy"]))
+        if kind == "zero":
+            rows[r] = [0] * n_cols
+        elif kind == "copy" and r:
+            rows[r] = list(rows[draw(st.integers(0, r - 1))])
+    return rows, n_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_kernel_basis_and_pivots_match_the_rref_oracle(drawn):
+    rows, n_cols = drawn
+    m = IntMatrix.from_rows(rows, n_cols=n_cols)
+    expected = [oracles.primitive(v) for v in oracles.nullspace(rows, n_cols)]
+    assert kernel_basis(m) == expected
+    _, pivots = oracles.rref([[Fraction(x) for x in row] for row in rows])
+    assert pivot_columns(m) == pivots
+    assert rank(m) == len(pivots)
+
+
+fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 3), st.data())
+def test_rational_solve_matches_the_rref_oracle(n, k, data):
+    g_rows = data.draw(st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n))
+    b_rows = data.draw(st.lists(st.lists(fractions, min_size=k, max_size=k), min_size=n, max_size=n))
+    gram = RationalMatrix.from_rows(g_rows, n_cols=n)
+    rhs = RationalMatrix.from_rows(b_rows, n_cols=k)
+    if len(oracles.rref(g_rows)[1]) < n:
+        with pytest.raises(SingularError):
+            rational_solve(gram, rhs)
+        return
+    reduced, _ = oracles.rref([g + b for g, b in zip(g_rows, b_rows)])
+    x = rational_solve(gram, rhs)
+    assert x.rows == tuple(tuple(row[n:]) for row in reduced)
+    assert gram.mul(x).rows == rhs.rows
 
 
 def test_clear_denominators():
