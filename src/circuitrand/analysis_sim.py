@@ -74,9 +74,9 @@ class EstimateReport:
 @lru_cache(maxsize=None)
 def _lse_operator(model: ContrastModel) -> RationalMatrix:
     """The exact LSE map ``(M'M)^-1 M'`` of the model matrix ``M = [j : C]``."""
-    m = model.model_matrix().to_rational()
+    m = model.model_matrix()
     mt = m.transpose()
-    return rational_solve(mt.mul(m), mt)
+    return rational_solve(mt.mul(m).to_rational(), mt.to_rational())
 
 
 def lse_estimates(model: ContrastModel, y: Sequence) -> tuple[Fraction, ...]:
@@ -188,19 +188,16 @@ def covariance_comparison(model: ContrastModel, z: IntMatrix) -> CovarianceOrder
     """
     _validate_indicators(model, z)
     q = model.n_contrasts
-    naive = _inverse(
-        model.model_matrix().to_rational().transpose().mul(
-            model.model_matrix().to_rational()
-        )
-    )
+    m = model.model_matrix()
+    naive = _inverse(m.transpose().mul(m).to_rational())
     naive_block = naive.submatrix(range(1, q + 1), range(1, q + 1))
 
     ones = IntMatrix.from_rows(((1,) for _ in range(model.n_runs)), n_cols=1)
     full = model.contrast.hstack(z).hstack(ones)
     # every contrast column stays; indicator and ones columns only if independent
     kept = [*range(q), *(c for c in pivot_columns(full) if c >= q)]
-    blocked_design = full.restrict_columns(kept).to_rational()
-    blocked = _inverse(blocked_design.transpose().mul(blocked_design))
+    blocked_design = full.restrict_columns(kept)
+    blocked = _inverse(blocked_design.transpose().mul(blocked_design).to_rational())
     blocked_block = blocked.submatrix(range(q), range(q))
 
     diff = RationalMatrix.from_rows(

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, kernel_basis, rank
+from .exact_linalg import IntMatrix, canonical_sign, rank
 
 
 class NotInKernelError(ValueError):
@@ -80,37 +79,46 @@ class CircuitBasis:
 def circuit_basis(a: IntMatrix) -> CircuitBasis:
     """Enumerate every circuit of ``a``.
 
-    A support set ``S`` carries a circuit exactly when the column submatrix
-    ``a[:, S]`` has nullity one and its kernel generator is nonzero on all of
-    ``S``: minimality forbids a second kernel dimension (two independent
-    kernel vectors can be combined to cancel a coordinate, shrinking the
-    support) and full support on ``S`` forbids a smaller support inside.
-    Supports are scanned by increasing size up to ``rank(a) + 1`` (a circuit
-    on more coordinates would contain a smaller kernel vector), skipping any
-    superset of a support already found.
+    Every circuit ``C`` is the fundamental circuit of its largest column
+    ``j`` over the independent set ``I = C - {j}``: the kernel of
+    ``a[:, I + {j}]`` is one-dimensional and its generator is nonzero on
+    all of ``I + {j}``.  Depth-first search over linearly independent
+    column sets ``I`` in increasing index order, extending an integer
+    echelon form one column at a time.  Each column is reduced augmented
+    with a unit vector marking its place in ``I + {j}``, so the augmented
+    part tracks the combination of columns that the reduction took.  A
+    column ``j > max(I)`` that reduces to zero in its first ``n_rows``
+    entries depends on ``I``, and the augmented part is the primitive
+    kernel vector on ``I + {j}``; it is a circuit exactly when its support
+    is all of ``I + {j}``, so each circuit is found once, through its
+    largest index.  Any other ``j`` extends ``I``.  Each ``(I, j)`` pair
+    costs one reduction, and the search is at most ``rank(a)`` deep.
     """
-    n = a.n_cols
-    bound = min(n, rank(a) + 1)
-    found_masks: list[int] = []
+    m, n = a.n_rows, a.n_cols
+    cols = a.columns()
+    # I has at most min(m, n) columns, plus one slot for j
+    width = min(m, n) + 1
+    units = [tuple(int(k == d) for k in range(width)) for d in range(width)]
+    chosen: list[int] = []
     vectors: list[tuple[int, ...]] = []
-    for size in range(1, bound + 1):
-        for cols in combinations(range(n), size):
-            mask = 0
-            for c in cols:
-                mask |= 1 << c
-            if any(fm & mask == fm for fm in found_masks):
-                continue
-            sub = a.restrict_columns(cols)
-            if rank(sub) != size - 1:
-                continue
-            gen = kernel_basis(sub)[0]
-            if any(x == 0 for x in gen):
-                continue
-            v = [0] * n
-            for c, x in zip(cols, gen):
-                v[c] = x
-            vectors.append(tuple(v))
-            found_masks.append(mask)
+
+    def search(start: int, echelon: list) -> None:
+        unit = units[len(chosen)]
+        for j in range(start, n):
+            # the unit entry survives reduction, so the result is never None
+            reduced = _reduce(cols[j] + unit, echelon)
+            pivot, v = reduced
+            if pivot < m:
+                chosen.append(j)
+                search(j + 1, [*echelon, reduced])
+                chosen.pop()
+            elif m + width - v.count(0) == len(chosen) + 1:
+                u = [0] * n
+                for i, x in zip((*chosen, j), v[m:]):
+                    u[i] = x
+                vectors.append(canonical_sign(u))
+
+    search(0, [])
     vectors.sort()
     return CircuitBasis(matrix=a, circuits=tuple(Circuit.from_vector(v) for v in vectors))
 
@@ -131,11 +139,12 @@ def _reduce(
         if f:
             g = row[p]
             v = [g * x - f * y for x, y in zip(v, row)]
-    pivot = next((i for i, x in enumerate(v) if x), None)
-    if pivot is None:
+    lead = next(filter(None, v), 0)
+    if not lead:
         return None
     g = gcd(*v)
-    return pivot, tuple(x // g for x in v)
+    # every entry before the first occurrence of lead is zero
+    return v.index(lead), tuple(x // g for x in v)
 
 
 def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
@@ -150,16 +159,23 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
     form extended one column at a time; a column that reduces to zero is
     dependent and its branch is cut.  Each node looks ``-sum(I)`` up among
     the columns, so every circuit is found once, through its largest index,
-    and the empty ``I`` finds the zero columns.  The vectors come back in
-    ascending lexicographic order: the list
-    ``[c.vector for c in binary_circuits(circuit_basis(a))]``.
+    and the empty ``I`` finds the zero columns.  Columns are keyed by their
+    digits in a balanced base wide enough for any sum of ``rank(a)``
+    columns, so the key is linear and the running sum costs one integer
+    add per child.  The vectors come back in ascending lexicographic
+    order: the list ``[c.vector for c in binary_circuits(circuit_basis(a))]``.
     """
     n = a.n_cols
     cols = a.columns()
-    where: dict[tuple[int, ...], list[int]] = {}
-    for j, col in enumerate(cols):
-        where.setdefault(tuple(-x for x in col), []).append(j)
     depth = rank(a)
+    # sums of up to depth columns have entries in [-half, half], where these
+    # balanced base-(2 * half + 1) digits are unique
+    half = max(depth, 1) * max((abs(x) for col in cols for x in col), default=0)
+    base = 2 * half + 1
+    keys = [sum(x * base**r for r, x in enumerate(col)) for col in cols]
+    where: dict[int, list[int]] = {}
+    for j, key in enumerate(keys):
+        where.setdefault(-key, []).append(j)
     chosen: list[int] = []
     vectors: list[tuple[int, ...]] = []
 
@@ -169,9 +185,9 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
             v[i] = 1
         vectors.append(tuple(v))
 
-    def search(start: int, total: tuple[int, ...], echelon: list) -> None:
+    def search(start: int, total: int, echelon: list) -> None:
         for j in range(start, n):
-            grown = tuple(x + y for x, y in zip(total, cols[j]))
+            grown = total + keys[j]
             closing = [c for c in where.get(grown, ()) if c > j]
             last = len(chosen) + 1 == depth
             # a full-rank I has no children, so unless it closes a circuit
@@ -188,9 +204,9 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
                 search(j + 1, grown, [*echelon, reduced])
             chosen.pop()
 
-    for c in where.get((0,) * a.n_rows, ()):
+    for c in where.get(0, ()):
         emit(c)
-    search(0, (0,) * a.n_rows, [])
+    search(0, 0, [])
     vectors.sort()
     return vectors
 

@@ -115,9 +115,8 @@ def to_contrast_form(design: DesignModel) -> ContrastModel:
     contrast = centred_matrix.restrict_columns(pivot_columns(centred_matrix))
 
     model = ones.hstack(contrast)
-    mt = model.transpose().to_rational()
-    gram = mt.mul(model.to_rational())
-    reparam = rational_solve(gram, mt.mul(x.to_rational()))
+    mt = model.transpose()
+    reparam = rational_solve(mt.mul(model).to_rational(), mt.mul(x).to_rational())
     return ContrastModel(n_runs=n, contrast=contrast, reparam=reparam, source=design)
 
 

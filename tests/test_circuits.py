@@ -1,8 +1,10 @@
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circuitrand.circuits import (
@@ -14,9 +16,17 @@ from circuitrand.circuits import (
     conformal_decompose,
     nonnegative_circuits,
 )
-from circuitrand.exact_linalg import IntMatrix, rank
+from circuitrand.contrast import to_contrast_form
+from circuitrand.design_catalog import (
+    anova_two_way,
+    choice_k_of_2k,
+    digraph_design,
+    factorial_two_level,
+)
+from circuitrand.exact_linalg import IntMatrix, canonical_sign, rank
 
 import oracles
+from conftest import digraph_five
 
 TWO_CUBED_T = IntMatrix.from_rows([
     [1, 1, 1, 1, -1, -1, -1, -1],
@@ -69,6 +79,8 @@ def matrices_with_related_columns(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices_with_related_columns())
+# cols 0 and 1 sum to (3, 1), whose base-5 digits equal those of -col 2
+@example(([[2, 1, 2], [0, 1, -2]], 3))
 def test_binary_circuit_search_matches_basis_and_oracle(drawn):
     rows, n_cols = drawn
     m = IntMatrix.from_rows(rows, n_cols=n_cols)
@@ -77,6 +89,74 @@ def test_binary_circuit_search_matches_basis_and_oracle(drawn):
     assert vectors == sorted(set(vectors))
     brute = oracles.brute_circuit_vectors(rows, n_cols)
     assert vectors == [v for v in brute if set(v) <= {0, 1}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_with_related_columns())
+def test_circuit_basis_matches_oracle_on_related_columns(drawn):
+    rows, n_cols = drawn
+    basis = circuit_basis(IntMatrix.from_rows(rows, n_cols=n_cols))
+    assert basis.vectors() == oracles.brute_circuit_vectors(rows, n_cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_circuit_basis_is_equivariant_under_column_permutation(data):
+    rows, n_cols = data.draw(matrices_with_related_columns())
+    perm = data.draw(st.permutations(range(n_cols)))
+    permuted = [[row[p] for p in perm] for row in rows]
+    expected = sorted(
+        canonical_sign(tuple(v[p] for p in perm))
+        for v in circuit_basis(IntMatrix.from_rows(rows, n_cols=n_cols)).vectors()
+    )
+    assert circuit_basis(IntMatrix.from_rows(permuted, n_cols=n_cols)).vectors() == expected
+
+
+# sha256 of the circuit listing of each contrast transpose, one vector per
+# line with entries separated by spaces, as first computed by a subset scan
+PINNED_BASES = {
+    "2^4": (
+        lambda: factorial_two_level(4),
+        456,
+        "b7d937c28aae7316c6303deddf6f28d33bc39a684f6e847642f4fb9e235987bf",
+    ),
+    "digraph5": (
+        lambda: digraph_design(digraph_five()),
+        198,
+        "11f6b69f48650bcf4fc0c3c6ceb05a3ff158f317a4153a9652036c19326696be",
+    ),
+    "choice k=3": (
+        lambda: choice_k_of_2k(3),
+        1210,
+        "7f9e6c6c2268a16d98d00c90bd36cc3e2f215c3e6bcb666b655cf697347ee66c",
+    ),
+    "anova 4x4": (
+        lambda: anova_two_way(4, 4),
+        460,
+        "1466efd1abd088b9c4270561f58eeea70d6ba2cee97f94291225ab17fe35c715",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_BASES)
+def test_catalog_circuit_bases_are_pinned(name):
+    design, count, digest = PINNED_BASES[name]
+    vectors = circuit_basis(to_contrast_form(design()).contrast.transpose()).vectors()
+    listing = "".join(" ".join(map(str, v)) + "\n" for v in vectors)
+    assert len(vectors) == count
+    assert hashlib.sha256(listing.encode()).hexdigest() == digest
+
+
+def test_two_fifth_full_basis():
+    ct = to_contrast_form(factorial_two_level(5)).contrast.transpose()
+    start = time.perf_counter()
+    basis = circuit_basis(ct)
+    elapsed = time.perf_counter() - start
+    assert len(basis) == 76368
+    binary = [c.vector for c in binary_circuits(basis)]
+    assert len(binary) == 1080
+    assert binary == binary_circuit_vectors(ct)
+    assert elapsed < 60
 
 
 def test_circuits_listed_in_ascending_vector_order():
