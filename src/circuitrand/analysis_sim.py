@@ -2,11 +2,17 @@
 Carlo demonstration of randomised assignment.
 
 The estimation questions all concern a contrast model ``[j : C]`` and block
-effects entering the response through 0/1 indicator columns ``Z``: contrast
-estimates are invariant to block shifts exactly when the blocks are
-orthogonal to the contrasts, the bias of ignoring non-orthogonal blocks has
-a closed form, and fitting the blocks can only widen (never narrow) the
-exact covariance of the contrast estimates.
+effects entering the response through 0/1 indicator columns ``Z``.  Both
+block diagnostics have a closed form:
+
+- the estimates are linear in the response, so a block shift ``Z gamma``
+  moves them by exactly the naive block bias (the estimates of
+  ``Z gamma``), and leaves them unchanged exactly when that bias is zero;
+- contrast columns sum to zero, so ``C`` is orthogonal to ``j`` and the
+  naive contrast covariance is ``(C'C)^-1``;
+- fitting the blocks too gives ``(C'C - C'P_W C)^-1``, with ``W`` spanned by
+  ``j`` and the kept block columns; it dominates the naive covariance, and
+  equals it exactly when every kept block column is orthogonal to ``C``.
 """
 
 from __future__ import annotations
@@ -21,18 +27,12 @@ from functools import lru_cache
 from typing import Sequence
 
 from .contrast import ContrastModel
-from .exact_linalg import (
-    IntMatrix,
-    RationalMatrix,
-    SingularError,
-    pivot_columns,
-    rational_solve,
-)
+from .exact_linalg import IntMatrix, RationalMatrix, pivot_columns, rational_solve
 from .randomisation import DimensionMismatchError, RandomisationSystem
 
 
 class RankDeficientError(ValueError):
-    """An information matrix needed for a covariance comparison is singular."""
+    """The contrast columns of a model are linearly dependent."""
 
 
 class CovarianceOrdering(Enum):
@@ -40,7 +40,6 @@ class CovarianceOrdering(Enum):
 
     EQUAL = "equal"
     PROPER_DOMINATES = "proper_dominates"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)
@@ -104,21 +103,18 @@ def block_shift_invariance(
 ) -> bool:
     """Whether adding per-block constants to ``y`` moves the contrast estimates.
 
-    Compares the exact estimates of ``y`` and ``y + Z gamma``.  For a valid
-    randomisation system the comparison always comes out True; for an
-    invalid one the result is whatever the arithmetic says (usually False),
-    reported as computed.
+    The estimates are linear in the response, so those of ``y + Z gamma``
+    differ from those of ``y`` by the estimates of ``Z gamma`` alone, which
+    is the naive block bias: the answer is whether that bias is zero, for
+    any ``y``.  For a valid randomisation system it is always True.
     """
+    if len(y) != model.n_runs:
+        raise DimensionMismatchError("response length does not match the model")
     if system.n_runs != model.n_runs:
         raise DimensionMismatchError("system run count does not match the model")
     if len(gamma) != len(system.blocks):
         raise ValueError("one shift per block is required")
-    base = [Fraction(v) for v in y]
-    shift = system.indicator_matrix().to_rational().mul_vector(
-        [Fraction(g) for g in gamma]
-    )
-    shifted = [a + b for a, b in zip(base, shift)]
-    return lse_contrast_estimates(model, base) == lse_contrast_estimates(model, shifted)
+    return not any(naive_block_bias(model, system.indicator_matrix(), gamma))
 
 
 def _validate_indicators(model: ContrastModel, z: IntMatrix) -> None:
@@ -144,74 +140,32 @@ def naive_block_bias(
     return lse_contrast_estimates(model, shift)
 
 
-def _is_psd(m: RationalMatrix) -> bool:
-    """Whether a symmetric rational matrix is positive semidefinite.
-
-    Exact LDL^T with diagonal pivoting: eliminating on a positive diagonal
-    entry leaves a Schur complement that is PSD exactly when ``m`` is.  Once
-    no diagonal entry is positive, a PSD remainder must be zero.
-    """
-    a = [list(row) for row in m.rows]
-    while a:
-        k = next((i for i, row in enumerate(a) if row[i] > 0), None)
-        if k is None:
-            return not any(x for row in a for x in row)
-        pivot_row = a.pop(k)
-        p = pivot_row.pop(k)
-        for row in a:
-            f = row.pop(k) / p
-            for j, x in enumerate(pivot_row):
-                row[j] -= f * x
-    return True
-
-
-def _inverse(m: RationalMatrix) -> RationalMatrix:
-    try:
-        return rational_solve(m, RationalMatrix.identity(m.n_rows))
-    except SingularError as exc:
-        raise RankDeficientError(str(exc)) from exc
-
-
 def covariance_comparison(model: ContrastModel, z: IntMatrix) -> CovarianceOrdering:
     """Loewner-compare the contrast covariance with and without block terms.
 
-    The naive model fits ``[j : C]``; the blocked model fits the contrast
-    columns plus the block indicator columns, with the all-ones column and
-    any indicator column dropped when linearly dependent on columns already
-    present (block indicators often sum to the intercept).  Under unit error
-    variance the exact contrast covariance is the leading block of the
-    inverse information matrix of each fit.  The difference
-    ``blocked - naive`` is positive semidefinite whenever the blocked model
-    nests the naive one, so the outcome is EQUAL or PROPER_DOMINATES on
-    those inputs; INCOMPARABLE is reported if an indefinite difference ever
-    arises.
+    The naive model fits ``[j : C]``; the blocked model also fits the block
+    indicator columns of ``z`` that are independent of the columns before
+    them (the pivots of ``[C | Z]``).  Under unit error variance, with ``W``
+    the span of ``j`` and the kept columns:
+
+    - ``C`` is orthogonal to ``j``, so the naive covariance is ``(C'C)^-1``;
+    - the blocked one is ``(C'C - C'P_W C)^-1`` with ``C'P_W C >= 0``, so it
+      dominates the naive one;
+    - they are equal exactly when ``P_W C = 0``, that is when every kept
+      column is orthogonal to every contrast.
+
+    Raises :class:`RankDeficientError` when the contrast columns are
+    linearly dependent.
     """
     _validate_indicators(model, z)
     q = model.n_contrasts
-    m = model.model_matrix()
-    naive = _inverse(m.transpose().mul(m).to_rational())
-    naive_block = naive.submatrix(range(1, q + 1), range(1, q + 1))
-
-    ones = IntMatrix.from_rows(((1,) for _ in range(model.n_runs)), n_cols=1)
-    full = model.contrast.hstack(z).hstack(ones)
-    # every contrast column stays; indicator and ones columns only if independent
-    kept = [*range(q), *(c for c in pivot_columns(full) if c >= q)]
-    blocked_design = full.restrict_columns(kept)
-    blocked = _inverse(blocked_design.transpose().mul(blocked_design).to_rational())
-    blocked_block = blocked.submatrix(range(q), range(q))
-
-    diff = RationalMatrix.from_rows(
-        (
-            tuple(blocked_block.rows[i][j] - naive_block.rows[i][j] for j in range(q))
-            for i in range(q)
-        ),
-        n_cols=q,
-    )
-    if all(x == 0 for row in diff.rows for x in row):
-        return CovarianceOrdering.EQUAL
-    if _is_psd(diff):
+    pivots = pivot_columns(model.contrast.hstack(z))
+    if pivots[:q] != list(range(q)):
+        raise RankDeficientError("the contrast columns are linearly dependent")
+    kept = z.restrict_columns([c - q for c in pivots[q:]])
+    if any(x for row in model.contrast.transpose().mul(kept).rows for x in row):
         return CovarianceOrdering.PROPER_DOMINATES
-    return CovarianceOrdering.INCOMPARABLE
+    return CovarianceOrdering.EQUAL
 
 
 def analyse_experiment(

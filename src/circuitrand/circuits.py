@@ -42,14 +42,24 @@ class Circuit:
 
     @classmethod
     def from_vector(cls, vector: Sequence[int]) -> "Circuit":
-        v = tuple(int(x) for x in vector)
-        if not any(v):
+        v = tuple(map(int, vector))
+        support: list[int] = []
+        positive: list[int] = []
+        negative: list[int] = []
+        for i, x in enumerate(v):
+            if x > 0:
+                support.append(i)
+                positive.append(i)
+            elif x:
+                support.append(i)
+                negative.append(i)
+        if not support:
             raise ValueError("a circuit vector must be nonzero")
         return cls(
             vector=v,
-            support=tuple(i for i, x in enumerate(v) if x),
-            positive_support=tuple(i for i, x in enumerate(v) if x > 0),
-            negative_support=tuple(i for i, x in enumerate(v) if x < 0),
+            support=tuple(support),
+            positive_support=tuple(positive),
+            negative_support=tuple(negative),
         )
 
     def negated(self) -> "Circuit":

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -111,19 +110,6 @@ def format_matrix_text(matrix: IntMatrix) -> str:
     lines = [f"{matrix.n_rows} {matrix.n_cols}"]
     lines.extend(" ".join(str(x) for x in row) for row in matrix.rows)
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class MatrixFile:
-    """A matrix stored in the plain-text interchange format."""
-
-    path: str
-
-    def read(self) -> IntMatrix:
-        return parse_matrix_text(Path(self.path).read_text())
-
-    def write(self, matrix: IntMatrix) -> None:
-        Path(self.path).write_text(format_matrix_text(matrix))
 
 
 def parse_blocks_text(text: str) -> list[tuple[int, ...]]:
@@ -259,7 +245,10 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     ]
     body = text + "\n".join(comments) + "\n"
     if args.output:
-        Path(args.output).write_text(body)
+        try:
+            Path(args.output).write_text(body)
+        except OSError as exc:
+            raise CliError(EXIT_PARAMS, f"cannot write {args.output}: {exc}") from exc
         return EXIT_OK
     _emit(
         args,
@@ -412,10 +401,9 @@ def cmd_analyse(args: argparse.Namespace) -> int:
         n_cols=len(blocks),
     )
     estimates = lse_contrast_estimates(model, y)
-    shift = z.to_rational().mul_vector(gamma)
-    shifted = [a + b for a, b in zip(y, shift)]
-    invariant = estimates == lse_contrast_estimates(model, shifted)
     bias = naive_block_bias(model, z, gamma)
+    # estimates are linear in y, so the shift moves them by exactly the bias
+    invariant = not any(bias)
     ordering = covariance_comparison(model, z)
     _emit(
         args,

@@ -152,12 +152,6 @@ class RationalMatrix:
             width = n_cols
         return cls(len(materialised), width, materialised)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows(
-            (tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)), n_cols=n
-        )
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.rows[i]
 
@@ -167,11 +161,6 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix.from_rows(
             (self.column(j) for j in range(self.n_cols)), n_cols=self.n_rows
-        )
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix.from_rows(
-            (tuple(self.rows[i][j] for j in cols) for i in rows), n_cols=len(cols)
         )
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":

@@ -121,6 +121,59 @@ def is_psd_by_minors(rows: Sequence[Sequence]) -> bool:
     )
 
 
+def inverse(rows: Sequence[Sequence]) -> list[list[Fraction]] | None:
+    """Inverse of a square matrix by reducing ``[A | I]``; None when singular."""
+    n = len(rows)
+    augmented = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    a, pivots = rref(augmented)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in a]
+
+
+def covariance_ordering_by_inverses(
+    contrast_rows: Sequence[Sequence[int]], z_rows: Sequence[Sequence[int]]
+) -> str | None:
+    """Loewner order of the blocked against the naive contrast covariance.
+
+    The naive covariance is the contrast block of the inverse Gram matrix
+    of ``[j : C]``.  The blocked fit keeps every contrast column, then each
+    column of ``[Z | j]`` that is independent of the columns kept so far,
+    and its covariance is the contrast block of its inverse Gram matrix.
+    Returns ``"equal"`` when the two agree, ``"proper_dominates"`` when
+    their difference is positive semidefinite by principal minors,
+    ``"incomparable"`` otherwise, and None when the naive Gram matrix is
+    singular.
+    """
+    n = len(contrast_rows)
+    c_cols = [tuple(row[h] for row in contrast_rows) for h in range(len(contrast_rows[0]))]
+    z_cols = [tuple(row[k] for row in z_rows) for k in range(len(z_rows[0]))]
+    q = len(c_cols)
+    ones = (1,) * n
+
+    def contrast_block(cols: list[tuple[int, ...]], offset: int) -> list[list[Fraction]] | None:
+        inv = inverse([[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols])
+        if inv is None:
+            return None
+        return [row[offset : offset + q] for row in inv[offset : offset + q]]
+
+    naive = contrast_block([ones, *c_cols], 1)
+    if naive is None:
+        return None
+    kept = list(c_cols)
+    for col in [*z_cols, ones]:
+        if len(rref([[Fraction(x) for x in u] for u in [*kept, col]])[1]) > len(kept):
+            kept.append(col)
+    blocked = contrast_block(kept, 0)
+    diff = [[b - a for a, b in zip(ra, rb)] for ra, rb in zip(naive, blocked)]
+    if not any(x for row in diff for x in row):
+        return "equal"
+    return "proper_dominates" if is_psd_by_minors(diff) else "incomparable"
+
+
 def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
     """All set partitions of the given items."""
     items = list(items)

@@ -1,7 +1,7 @@
 import math
 import random
-import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from circuitrand.analysis_sim import (
     CovarianceOrdering,
     EstimateReport,
     ExperimentOutcome,
+    RankDeficientError,
     analyse_experiment,
     block_shift_invariance,
     covariance_comparison,
@@ -18,17 +19,22 @@ from circuitrand.analysis_sim import (
     lse_estimates,
     naive_block_bias,
     simulate_ab,
-    _is_psd,
 )
+from circuitrand.contrast import ContrastModel, DesignModel, to_contrast_form
+from circuitrand.design_catalog import anova_two_way, choice_k_of_2k, factorial_two_level
 from circuitrand.exact_linalg import IntMatrix, RationalMatrix
-from circuitrand.randomisation import DimensionMismatchError, RandomisationSystem
+from circuitrand.randomisation import (
+    DimensionMismatchError,
+    RandomisationSystem,
+    enumerate_circuit_randomisations,
+)
 
 import oracles
 
 
 def indicator_matrix(n, blocks):
-    cols = [[1 if i in set(b) else 0 for i in range(n)] for b in blocks]
-    return IntMatrix.from_rows([list(r) for r in zip(*cols)], n_cols=len(cols))
+    sets = [set(b) for b in blocks]
+    return IntMatrix.from_rows([[int(i in b) for b in sets] for i in range(n)], n_cols=len(sets))
 
 
 def test_lse_estimates_orthogonal_design(model_2cubed):
@@ -108,47 +114,110 @@ def test_covariance_comparison_orderings(model_2cubed):
     assert covariance_comparison(model_2cubed, orthogonal) == CovarianceOrdering.EQUAL
     empty = IntMatrix.from_rows([[] for _ in range(8)], n_cols=0)
     assert covariance_comparison(model_2cubed, empty) == CovarianceOrdering.EQUAL
+    # the second block is (c_1 + j) / 2, dependent on the first (all runs) and
+    # the contrasts, so it is not fitted although it is not orthogonal to c_1
+    dependent = indicator_matrix(8, [range(8), [0, 1, 2, 3]])
+    assert covariance_comparison(model_2cubed, dependent) == CovarianceOrdering.EQUAL
 
 
-def gram(b_rows):
-    return [[sum(x * y for x, y in zip(u, v)) for v in b_rows] for u in b_rows]
+CATALOG_MODELS = {
+    "2^3": to_contrast_form(factorial_two_level(3)),
+    "anova 3x3": to_contrast_form(anova_two_way(3, 3)),
+    "choice k=2": to_contrast_form(choice_k_of_2k(2)),
+}
+
+
+@lru_cache(maxsize=None)
+def catalog_systems(name):
+    return enumerate_circuit_randomisations(CATALOG_MODELS[name]).systems
+
+
+def partition(draw, runs, min_size):
+    """A random partition of ``runs`` into blocks of at least ``min_size``."""
+    runs = draw(st.permutations(runs))
+    blocks = []
+    while runs:
+        size = draw(st.integers(min_size, len(runs)))
+        if len(runs) - size < min_size:
+            size = len(runs)
+        blocks.append(sorted(runs[:size]))
+        runs = runs[size:]
+    return blocks
 
 
 @st.composite
-def symmetric_matrices(draw):
-    """Symmetric rational matrices: Gram matrices B B^T (singular ones too),
-    the same with a small amount taken off one diagonal entry, and plain
-    random symmetric ones."""
-    q = draw(st.integers(1, 5))
-    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    kind = draw(st.sampled_from(["gram", "gram minus", "random"]))
-    if kind == "random":
-        m = [[None] * q for _ in range(q)]
-        for i in range(q):
-            for j in range(i, q):
-                m[i][j] = m[j][i] = draw(small)
-        return m
-    width = draw(st.integers(1, q + 1))
-    m = gram([draw(st.lists(small, min_size=width, max_size=width)) for _ in range(q)])
-    if kind == "gram minus":
-        i = draw(st.integers(0, q - 1))
-        m[i][i] -= Fraction(1, draw(st.integers(1, 50)))
-    return m
+def blocked_models(draw):
+    """A contrast model, block columns ``Z`` and a valid-or-not partition.
+
+    Models are catalog designs or hand-built from random zero-sum integer
+    columns (with a dependent column now and then).  ``Z`` is a partition, a partial
+    blocking, a catalog system with some blocks merged or dropped, or
+    arbitrary 0/1 columns; then repeated, zero and all-ones columns may be
+    added, and the columns are shuffled.
+    """
+    name = draw(st.sampled_from(["random", *CATALOG_MODELS]))
+    if name == "random":
+        n = draw(st.integers(2, 8))
+        q = draw(st.integers(0, min(n - 1, 4)))
+        raw = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(q)]
+        cols = [tuple(n * x - sum(col) for x in col) for col in raw]
+        if cols and draw(st.integers(0, 9)) == 0:
+            k = draw(st.integers(-2, 2))
+            cols.append(tuple(k * a + b for a, b in zip(cols[0], cols[-1])))
+        q = len(cols)
+        rows = [(1, *(col[i] for col in cols)) for i in range(n)]
+        design = DesignModel(IntMatrix.from_rows(rows), range(n), range(q + 1))
+        identity = RationalMatrix.from_rows([[int(i == j) for j in range(q + 1)] for i in range(q + 1)])
+        contrast = IntMatrix.from_rows([row[1:] for row in rows], n_cols=q)
+        model = ContrastModel(n_runs=n, contrast=contrast, reparam=identity, source=design)
+    else:
+        model = CATALOG_MODELS[name]
+        n = model.n_runs
+    kind = draw(st.sampled_from(["partition", "partial", "system", "overlapping"]))
+    if kind == "partition":
+        blocks = partition(draw, list(range(n)), 1)
+    elif kind == "partial":
+        runs = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        blocks = partition(draw, runs, 1)
+    elif kind == "system" and name != "random":
+        system = draw(st.sampled_from(catalog_systems(name)))
+        merged = partition(draw, list(system.blocks), 1)
+        blocks = [sorted(i for b in group for i in b) for group in merged]
+        blocks = blocks[: draw(st.integers(0, len(blocks)))]
+    else:
+        blocks = [
+            [i for i in range(n) if draw(st.booleans())]
+            for _ in range(draw(st.integers(0, 5)))
+        ]
+    for extra in draw(st.lists(st.sampled_from(["repeat", "zero", "ones"]), max_size=2)):
+        if extra == "repeat" and blocks:
+            blocks.append(draw(st.sampled_from(blocks)))
+        else:
+            blocks.append([] if extra == "zero" else list(range(n)))
+    blocks = draw(st.permutations(blocks))
+    system = RandomisationSystem.from_blocks(n, partition(draw, list(range(n)), 2))
+    return model, indicator_matrix(n, blocks), system
 
 
 @settings(max_examples=300, deadline=None)
-@given(symmetric_matrices())
-def test_is_psd_matches_the_principal_minor_oracle(m):
-    assert _is_psd(RationalMatrix.from_rows(m)) == oracles.is_psd_by_minors(m)
+@given(blocked_models(), st.data())
+def test_block_diagnostics_match_the_two_inverse_oracle(case, data):
+    model, z, system = case
+    expected = oracles.covariance_ordering_by_inverses(model.contrast.rows, z.rows)
+    if expected is None:
+        with pytest.raises(RankDeficientError):
+            covariance_comparison(model, z)
+        return
+    assert covariance_comparison(model, z).value == expected
 
-
-def test_is_psd_accepts_a_large_gram_matrix_quickly():
-    rng = random.Random(14)
-    b_rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(14)] for _ in range(14)]
-    start = time.perf_counter()
-    assert _is_psd(RationalMatrix.from_rows(gram(b_rows)))
-    # checking all 16,383 principal minors took about 16 s here; LDL^T takes milliseconds
-    assert time.perf_counter() - start < 0.25
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    y = data.draw(st.lists(fractions, min_size=model.n_runs, max_size=model.n_runs))
+    gamma = data.draw(st.lists(fractions, min_size=len(system.blocks), max_size=len(system.blocks)))
+    shift = system.indicator_matrix().mul_vector(gamma)
+    shifted = [a + b for a, b in zip(y, shift)]
+    assert block_shift_invariance(model, system, y, gamma) == (
+        lse_contrast_estimates(model, y) == lse_contrast_estimates(model, shifted)
+    )
 
 
 def test_analyse_experiment_report(model_2cubed):

@@ -88,6 +88,14 @@ def test_catalog_records_format(capsys):
     assert data["rows"][0] == [1, 1, 0, 0]
 
 
+def test_catalog_unwritable_output(capsys, tmp_path):
+    target = tmp_path / "missing" / "design.txt"
+    code, out, err = run(capsys, ["catalog", "factorial", "--k", "3", "-o", str(target)])
+    assert code == 2
+    assert err.startswith(f"circuitrand: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_catalog_missing_params(capsys):
     code, out, err = run(capsys, ["catalog", "factorial"])
     assert code == 2

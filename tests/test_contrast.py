@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitrand.contrast import (
     DesignModel,
@@ -14,6 +16,7 @@ from circuitrand.design_catalog import (
     factorial_two_level,
 )
 from circuitrand.exact_linalg import IntMatrix, rank
+from circuitrand.randomisation import enumerate_circuit_randomisations
 
 
 def test_design_model_label_validation():
@@ -85,3 +88,64 @@ def test_empirical_contrast_check():
     assert empirical_contrast_check([1, -1, 0])
     assert empirical_contrast_check([Fraction(1, 2), Fraction(-1, 2)])
     assert not empirical_contrast_check([1, 1])
+
+
+@st.composite
+def designs_with_intercept(draw):
+    """Catalog designs, or random integer designs with j in the column space.
+
+    The random ones have one column ``a * j + sum(b_i * c_i)`` (``a`` nonzero)
+    among random columns ``c_i``, at a random position.
+    """
+    catalog = [factorial_two_level(3), anova_two_way(3, 3), choice_k_of_2k(2)]
+    pick = draw(st.integers(0, len(catalog)))
+    if pick < len(catalog):
+        return catalog[pick]
+    n = draw(st.integers(2, 8))
+    column = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    cols = draw(st.lists(column, max_size=3))
+    a = draw(st.integers(-2, 2).filter(bool))
+    b = draw(st.lists(st.integers(-2, 2), min_size=len(cols), max_size=len(cols)))
+    intercept = [a + sum(bi * col[i] for bi, col in zip(b, cols)) for i in range(n)]
+    cols.insert(draw(st.integers(0, len(cols))), intercept)
+    rows = [[col[i] for col in cols] for i in range(n)]
+    return DesignModel(
+        matrix=IntMatrix.from_rows(rows),
+        run_labels=[str(i) for i in range(n)],
+        param_labels=[str(j) for j in range(len(cols))],
+    )
+
+
+def parallel(u, v):
+    return any(u) and all(u[i] * v[k] == u[k] * v[i] for i in range(len(u)) for k in range(len(u)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(designs_with_intercept(), st.data())
+def test_contrast_form_under_column_scaling(design, data):
+    x = design.matrix
+    scales = data.draw(
+        st.lists(st.integers(-3, 3).filter(bool), min_size=x.n_cols, max_size=x.n_cols)
+    )
+
+    def scaled(signs):
+        rows = [[v * s for v, s in zip(row, signs)] for row in x.rows]
+        return DesignModel(IntMatrix.from_rows(rows), design.run_labels, design.param_labels)
+
+    model = to_contrast_form(design)
+    contrasts = model.contrast.columns()
+    # each contrast column is the centred form of the first design column
+    # parallel to it, so only that column's sign can reach it
+    centred = [tuple(x.n_rows * v - sum(col) for v in col) for col in x.columns()]
+    source = [next(j for j, w in enumerate(centred) if parallel(w, c)) for c in contrasts]
+
+    positive = to_contrast_form(scaled([abs(s) for s in scales]))
+    assert positive.contrast == model.contrast
+    signed = to_contrast_form(scaled(scales))
+    flipped = [
+        tuple(-v for v in c) if scales[j] < 0 else c for c, j in zip(contrasts, source)
+    ]
+    assert signed.contrast.columns() == flipped
+    systems = enumerate_circuit_randomisations(model).systems
+    assert enumerate_circuit_randomisations(positive).systems == systems
+    assert enumerate_circuit_randomisations(signed).systems == systems
