@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, canonical_sign, rank
+from .exact_linalg import IntMatrix, _reduce, canonical_sign, rank
 
 
 class NotInKernelError(ValueError):
@@ -131,30 +130,6 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
     search(0, [])
     vectors.sort()
     return CircuitBasis(matrix=a, circuits=tuple(Circuit.from_vector(v) for v in vectors))
-
-
-def _reduce(
-    v: Sequence[int], echelon: Sequence[tuple[int, tuple[int, ...]]]
-) -> tuple[int, tuple[int, ...]] | None:
-    """Reduce ``v`` against an integer echelon form; ``None`` when dependent.
-
-    ``echelon`` holds ``(pivot, row)`` pairs, each row zero at the pivots of
-    the rows before it.  Clearing ``v`` at every pivot by a fraction-free
-    row operation leaves zero exactly when ``v`` lies in their span;
-    otherwise the primitive remainder, with its first nonzero coordinate as
-    pivot, extends the form by one row.
-    """
-    for p, row in echelon:
-        f = v[p]
-        if f:
-            g = row[p]
-            v = [g * x - f * y for x, y in zip(v, row)]
-    lead = next(filter(None, v), 0)
-    if not lead:
-        return None
-    g = gcd(*v)
-    # every entry before the first occurrence of lead is zero
-    return v.index(lead), tuple(x // g for x in v)
 
 
 def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:

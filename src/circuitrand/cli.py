@@ -146,6 +146,8 @@ def parse_edges_text(text: str) -> DirectedGraph:
         if t < 1 or h < 1:
             raise ValueError("vertex numbers are 1-based and must be positive")
         edges.append((t - 1, h - 1))
+    if not edges:
+        raise ValueError("empty edges file")
     return DirectedGraph.from_edges(edges)
 
 

@@ -20,7 +20,7 @@ from .randomisation import RandomisationSystem
 from .unimodular import DirectedGraph, incidence_matrix, is_eulerian_balanced
 
 MAX_FACTORIAL_FACTORS = 12
-MAX_CHOICE_ROWS = 4096
+MAX_RUNS = 4096
 
 
 class OutOfBudgetError(ValueError):
@@ -59,9 +59,12 @@ def anova_two_way(n_rows: int, n_cols: int) -> DesignModel:
 
     The design matrix is the ``n_rows*n_cols x (n_rows+n_cols)`` cell/level
     incidence, rank ``n_rows + n_cols - 1``.  Cells are ordered row-major.
+    More than ``MAX_RUNS`` cells raises :class:`OutOfBudgetError`.
     """
     if n_rows < 2 or n_cols < 2:
         raise ValueError("a two-way layout needs at least two levels per factor")
+    if n_rows * n_cols > MAX_RUNS:
+        raise OutOfBudgetError(f"{n_rows * n_cols} runs exceed the budget of {MAX_RUNS}")
     rows = []
     labels = []
     for i in range(n_rows):
@@ -84,13 +87,13 @@ def choice_k_of_2k(k: int) -> DesignModel:
 
     Runs are the ``comb(2k, k)`` subsets in lexicographic order; the matrix
     is the subset/attribute 0/1 incidence.  ``k < 2`` raises ``ValueError``;
-    more than ``MAX_CHOICE_ROWS`` runs raises :class:`OutOfBudgetError`.
+    more than ``MAX_RUNS`` runs raises :class:`OutOfBudgetError`.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     n = comb(2 * k, k)
-    if n > MAX_CHOICE_ROWS:
-        raise OutOfBudgetError(f"{n} runs exceed the budget of {MAX_CHOICE_ROWS}")
+    if n > MAX_RUNS:
+        raise OutOfBudgetError(f"{n} runs exceed the budget of {MAX_RUNS}")
     subsets = list(combinations(range(2 * k), k))
     rows = [tuple(int(a in s) for a in range(2 * k)) for s in subsets]
     return DesignModel(

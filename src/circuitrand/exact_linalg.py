@@ -5,6 +5,13 @@ Everything in this module computes with Python's unbounded integers and
 determinants, kernels and solves are exact at any magnitude.  Matrices are
 small dense tuples of tuples; the library targets design matrices with at
 most a few thousand entries, not bulk numerics.
+
+There is one elimination step, :func:`_reduce`: reduce a column against the
+independent columns kept before it.  Rank and pivot columns count the
+columns it keeps.  With a unit vector appended to each column, it also
+records the combination of columns that it took, which gives kernel
+vectors, solves and the determinant.  The circuit searches in
+:mod:`circuitrand.circuits` take the same step.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -69,13 +76,6 @@ class IntMatrix:
         return cls.from_rows(
             (tuple(int(i == j) for j in range(n)) for i in range(n)), n_cols=n
         )
-
-    @classmethod
-    def column_vector(cls, entries: Sequence[int]) -> "IntMatrix":
-        return cls.from_rows(((x,) for x in entries), n_cols=1)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
@@ -152,16 +152,8 @@ class RationalMatrix:
             width = n_cols
         return cls(len(materialised), width, materialised)
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix.from_rows(
-            (self.column(j) for j in range(self.n_cols)), n_cols=self.n_rows
-        )
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.n_cols != other.n_rows:
@@ -209,127 +201,126 @@ def canonical_sign(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _echelon(
-    rows: Sequence[Sequence[int]], n_cols: int
-) -> tuple[list[int], list[list[int]], int]:
-    """Row echelon form of an integer matrix by fraction-free (Bareiss) elimination.
+def _reduce(
+    v: Sequence[int], echelon: Sequence[tuple[int, tuple[int, ...]]]
+) -> tuple[int, tuple[int, ...]] | None:
+    """Reduce ``v`` against an integer echelon form; ``None`` when dependent.
 
-    Returns ``(pivots, rows, sign)``: the pivot column of each of the first
-    ``len(pivots)`` rows (the remaining rows are zero), the echelon rows,
-    and the sign of the row swaps.  Intermediate entries are minors of the
-    input, so every division below is exact and the arithmetic stays in the
-    integers.  The last pivot is, up to sign, the minor of the input on its
-    pivot rows and columns; for a square nonsingular input it is ``sign``
-    times the determinant.
+    ``echelon`` holds ``(pivot, row)`` pairs, each row zero at the pivots of
+    the rows before it.  Clearing ``v`` at every pivot by a fraction-free
+    row operation leaves zero exactly when ``v`` lies in their span;
+    otherwise the primitive remainder, with its first nonzero coordinate as
+    pivot, extends the form by one row.
     """
-    a = [list(row) for row in rows]
-    n_rows = len(a)
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for c in range(n_cols):
-        r = len(pivots)
-        if r == n_rows:
-            break
-        pivot = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-            sign = -sign
-        row_r = a[r]
-        p = row_r[c]
-        for i in range(r + 1, n_rows):
-            row_i = a[i]
-            f = row_i[c]
-            for j in range(c + 1, n_cols):
-                row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
-            row_i[c] = 0
-        prev = p
-        pivots.append(c)
-    return pivots, a, sign
+    for p, row in echelon:
+        f = v[p]
+        if f:
+            g = row[p]
+            v = [g * x - f * y for x, y in zip(v, row)]
+    lead = next(filter(None, v), 0)
+    if not lead:
+        return None
+    g = gcd(*v)
+    # every entry before the first occurrence of lead is zero
+    return v.index(lead), tuple(x // g for x in v)
 
 
-def _back_substitute(
-    echelon: Sequence[Sequence[int]], pivots: Sequence[int], rhs: Sequence[int]
-) -> tuple[int, list[int]]:
-    """Solve the echelon system on its pivot columns as ``y / d``.
+def _unit(k: int, width: int) -> tuple[int, ...]:
+    return tuple(int(i == k) for i in range(width))
 
-    ``rhs`` is (up to sign) a column of ``echelon``, one entry per pivot
-    row.  Returns ``(d, y)`` with ``sum_k echelon[i][pivots[k]] * y[k] ==
-    d * rhs[i]`` for every pivot row ``i``, where ``d`` is the last pivot
-    (1 when there is none).  By Cramer's rule ``y`` is integral, so every
-    division below is exact.
+
+def _reduce_columns(
+    columns: Sequence[tuple[int, ...]], n_rows: int, width: int
+) -> tuple[list[tuple[int, tuple[int, ...]]], list[tuple[int, ...]]]:
+    """Reduce each column ``c``, unit vector ``c`` of length ``width`` appended.
+
+    Column ``c`` is reduced against the independent columns before it.  The
+    appended part records the combination ``t`` of columns the reduction
+    took, and the first ``n_rows`` entries are ``a t``.  Returns the echelon
+    rows of the independent columns, in column order, and for each dependent
+    column its appended part: a primitive kernel vector of the columns, zero
+    past ``c`` and on every other dependent column.
     """
-    r = len(pivots)
-    d = echelon[r - 1][pivots[-1]] if r else 1
-    y = [0] * r
-    for i in range(r - 1, -1, -1):
-        row = echelon[i]
-        total = d * rhs[i] - sum(row[pivots[k]] * y[k] for k in range(i + 1, r))
-        y[i] = total // row[pivots[i]]
-    return d, y
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank of an integer matrix: the number of echelon pivots."""
-    return len(_echelon(m.rows, m.n_cols)[0])
+    echelon = []
+    kernel = []
+    for c, col in enumerate(columns):
+        # the unit entry survives reduction, so the result is never None
+        pivot, v = _reduce(col + _unit(c, width), echelon)
+        if pivot < n_rows:
+            echelon.append((pivot, v))
+        else:
+            kernel.append(v[n_rows:])
+    return echelon, kernel
 
 
 def pivot_columns(m: IntMatrix) -> list[int]:
     """Greedy left-to-right maximal linearly independent set of columns.
 
-    Column ``c`` is kept exactly when it is independent of the columns
-    before it; these are the pivot columns of the row echelon form.
+    Column ``c`` is kept exactly when :func:`_reduce` leaves a nonzero
+    remainder against the columns kept before it; these are the pivot
+    columns of the row echelon form.
     """
-    return _echelon(m.rows, m.n_cols)[0]
+    echelon = []
+    pivots = []
+    for c, col in enumerate(m.columns()):
+        reduced = _reduce(col, echelon)
+        if reduced is not None:
+            echelon.append(reduced)
+            pivots.append(c)
+    return pivots
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank of an integer matrix: the number of pivot columns."""
+    return len(pivot_columns(m))
 
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant of a square integer matrix.
 
-    Raises :class:`NonSquareError` for rectangular input.  The empty 0x0
-    matrix has determinant 1.
+    Reducing the columns with unit vectors appended gives ``a T = H``,
+    where ``T`` is upper triangular with the unit coefficients ``u_c`` on
+    its diagonal, and column ``c`` of ``H`` is zero above its pivot row
+    ``p_c`` and at every earlier pivot row.  Taking the rows of ``H`` in the
+    order ``p_0, p_1, ...`` makes it lower triangular, so
+    ``det a = sign(p) * prod(H[p_c][c]) / prod(u_c)``, and the division is
+    exact.  A dependent column makes it zero.  Raises
+    :class:`NonSquareError` for rectangular input.  The empty 0x0 matrix has
+    determinant 1.
     """
     if m.n_rows != m.n_cols:
         raise NonSquareError(f"determinant needs a square matrix, got {m.n_rows}x{m.n_cols}")
     n = m.n_rows
-    pivots, a, sign = _echelon(m.rows, n)
-    if len(pivots) < n:
+    echelon, kernel = _reduce_columns(m.columns(), n, n)
+    if kernel:
         return 0
-    return sign * a[n - 1][n - 1] if n else 1
+    pivots = [p for p, _ in echelon]
+    inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1 :])
+    units = prod(v[n + c] for c, (_, v) in enumerate(echelon))
+    return (-1) ** inversions * prod(v[p] for p, v in echelon) // units
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Primitive integer basis of the right kernel ``{v : m v = 0}``.
 
-    One basis vector per free (non-pivot) column, in order of free column
+    One basis vector per free (dependent) column, in order of free column
     index: the kernel vector that is nonzero on that free column and zero
-    on the others, scaled to a primitive integer vector whose first nonzero
-    entry is positive.  The list has exactly ``m.n_cols - rank(m)``
-    elements.
+    on the others, which the column's reduction leaves in its appended unit
+    part, made primitive with its first nonzero entry positive.  The list
+    has exactly ``m.n_cols - rank(m)`` elements.
     """
-    pivots, a, _ = _echelon(m.rows, m.n_cols)
-    pivot_set = set(pivots)
-    basis: list[tuple[int, ...]] = []
-    for free in range(m.n_cols):
-        if free in pivot_set:
-            continue
-        d, y = _back_substitute(a, pivots, [-a[i][free] for i in range(len(pivots))])
-        v = [0] * m.n_cols
-        v[free] = d
-        for c, x in zip(pivots, y):
-            v[c] = x
-        basis.append(canonical_sign(clear_denominators(v)))
-    return basis
+    _, kernel = _reduce_columns(m.columns(), m.n_rows, m.n_cols)
+    return [canonical_sign(v) for v in kernel]
 
 
 def rational_solve(gram: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
     """Solve ``gram @ X = rhs`` exactly.
 
-    Each row of ``[gram | rhs]`` is scaled to integers and the whole is
-    brought to echelon form; ``gram`` is nonsingular exactly when its
-    columns are the first ``n`` pivots.  ``gram`` must be square (else
+    Each row of ``[gram | rhs]`` is scaled to integers.  ``gram`` is
+    nonsingular exactly when each of its columns is independent of the ones
+    before it.  Then each column ``b`` of ``rhs``, reduced with a unit
+    appended, leaves ``(beta, alpha)`` with ``alpha b + gram beta = 0``, and
+    its solution is ``-beta / alpha``.  ``gram`` must be square (else
     :class:`NonSquareError`) and nonsingular (else :class:`SingularError`);
     ``rhs`` may have any number of columns.  The result satisfies
     ``gram.mul(result) == rhs`` exactly.
@@ -343,14 +334,14 @@ def rational_solve(gram: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
     for row in (g + b for g, b in zip(gram.rows, rhs.rows)):
         scale = lcm(*(x.denominator for x in row))
         scaled.append([x.numerator * (scale // x.denominator) for x in row])
-    pivots, a, _ = _echelon(scaled, n + rhs.n_cols)
-    if pivots[:n] != list(range(n)):
+    columns = IntMatrix.from_rows(scaled, n_cols=n + rhs.n_cols).columns()
+    echelon, kernel = _reduce_columns(columns[:n], n, n + 1)
+    if kernel:
         raise SingularError("coefficient matrix is singular")
-    columns = [
-        _back_substitute(a, pivots, [a[i][n + k] for i in range(n)])
-        for k in range(rhs.n_cols)
-    ]
+    solution = []
+    for b in columns[n:]:
+        _, v = _reduce(b + _unit(n, n + 1), echelon)
+        solution.append([Fraction(-x, v[-1]) for x in v[n:-1]])
     return RationalMatrix.from_rows(
-        (tuple(Fraction(y[i], d) for d, y in columns) for i in range(n)),
-        n_cols=rhs.n_cols,
+        (tuple(col[i] for col in solution) for i in range(n)), n_cols=rhs.n_cols
     )

@@ -117,6 +117,22 @@ def test_catalog_digraph_unbalanced(capsys, tmp_path):
     assert "degree" in err
 
 
+@pytest.mark.parametrize("text", ["", "# no edges here\n\n"], ids=["empty", "comments"])
+def test_catalog_digraph_empty_edges(capsys, tmp_path, text):
+    p = tmp_path / "edges.txt"
+    p.write_text(text)
+    code, out, err = run(capsys, ["catalog", "digraph", "--edges", str(p)])
+    assert code == 2
+    assert err == f"circuitrand: {p}: empty edges file\n"
+
+
+def test_catalog_anova2_over_budget(capsys):
+    code, out, err = run(capsys, ["catalog", "anova2", "--I", "65", "--J", "64"])
+    assert code == 2
+    assert "4160 runs exceed the budget of 4096" in err
+    assert out == ""
+
+
 def test_circuits_summary(capsys, contrast_file):
     code, out, _ = run(capsys, ["circuits", contrast_file, "--nonnegative", "--binary"])
     assert code == 0

@@ -2,6 +2,7 @@ import pytest
 
 from circuitrand.contrast import to_contrast_form
 from circuitrand.design_catalog import (
+    MAX_RUNS,
     LatinSquare,
     NotBalancedError,
     OutOfBudgetError,
@@ -46,6 +47,14 @@ def test_anova_two_way_structure():
     for row in design.matrix.rows:
         assert sum(row) == 2  # one row indicator and one column indicator
     assert design.param_labels == ("a1", "a2", "b1", "b2", "b3")
+
+
+def test_anova_two_way_budget():
+    assert anova_two_way(64, 64).matrix.n_rows == MAX_RUNS
+    with pytest.raises(OutOfBudgetError):
+        anova_two_way(65, 64)
+    with pytest.raises(OutOfBudgetError):
+        anova_two_way(100_000, 100_000)
 
 
 def test_choice_design_structure():

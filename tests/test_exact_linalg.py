@@ -87,14 +87,6 @@ def test_rank_of_zero_and_empty():
     assert rank(IntMatrix.from_rows([], n_cols=3)) == 0
 
 
-def test_determinant_against_cofactor_oracle():
-    rng = random.Random(7)
-    for _ in range(120):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        assert determinant(IntMatrix.from_rows(rows)) == oracles.det_cofactor(rows)
-
-
 def test_determinant_edge_cases():
     assert determinant(IntMatrix.from_rows([], n_cols=0)) == 1
     assert determinant(IntMatrix.identity(3)) == 1
@@ -186,6 +178,33 @@ def test_kernel_basis_and_pivots_match_the_rref_oracle(drawn):
     _, pivots = oracles.rref([[Fraction(x) for x in row] for row in rows])
     assert pivot_columns(m) == pivots
     assert rank(m) == len(pivots)
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n integer matrices for n in 0..6, as rows.
+
+    Entries lie in [-40, 40] and half of them are zero, so that pivots
+    leave the diagonal.  Half of the matrices then get one zero, copied or
+    combined row, or column, and every matrix has its rows permuted.
+    """
+    n = draw(st.integers(0, 6))
+    line = st.lists(st.just(0) | st.integers(-40, 40), min_size=n, max_size=n)
+    rows = draw(st.lists(line, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        if draw(st.booleans()):
+            rows = [list(col) for col in zip(*rows)]
+    return [rows[i] for i in draw(st.permutations(range(n)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_determinant_against_cofactor_oracle(rows):
+    m = IntMatrix.from_rows(rows, n_cols=len(rows))
+    assert determinant(m) == oracles.det_cofactor(rows)
 
 
 fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))

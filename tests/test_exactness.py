@@ -1,0 +1,93 @@
+"""The exact core stays exact and stdlib-only.
+
+Every number the core computes is an int or a Fraction, so its answers are
+exact and byte-reproducible on every platform.  These tests read the source
+of the core modules and reject anything that would bring floating point in:
+the name ``float``, a float literal, true division ``/``, or a call into
+``math`` other than its integer functions.  They also reject imports from
+outside the standard library and the package.  Only ``analysis_sim`` (the
+Monte Carlo ``simulate_ab``) and ``cli`` (its ``--simulate`` options) use
+floats, and they are not checked here.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import circuitrand
+
+CORE = ["exact_linalg", "circuits", "randomisation", "contrast", "unimodular", "design_catalog"]
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def float_uses(tree: ast.AST) -> list[str]:
+    """Describe each use of floating point in a module's syntax tree."""
+    from_math = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        for alias in node.names
+        if alias.name not in INTEGER_MATH
+    }
+    found = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", "?")
+        if isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"line {line}: the name float")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"line {line}: float literal {node.value!r}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"line {line}: true division")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "math"
+                and func.attr not in INTEGER_MATH
+            ) or (isinstance(func, ast.Name) and func.id in from_math):
+                found.append(f"line {line}: call to {ast.unparse(func)}")
+    return found
+
+
+def foreign_imports(tree: ast.AST) -> list[str]:
+    """Top-level modules imported from outside the standard library and the package."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    roots = {name.split(".")[0] for name in names}
+    return sorted(roots - set(sys.stdlib_module_names) - {"circuitrand"})
+
+
+@pytest.mark.parametrize("module", CORE)
+def test_core_module_is_exact_and_stdlib_only(module):
+    path = Path(circuitrand.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert float_uses(tree) == []
+    assert foreign_imports(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = float(1)",
+        "x = 0.5",
+        "x = 1 / 2",
+        "x = 1\nx /= 2",
+        "import math\nx = math.sqrt(2)",
+        "from math import sqrt as root\nx = root(2)",
+    ],
+)
+def test_float_checker_flags(source):
+    assert float_uses(ast.parse(source))
+
+
+def test_float_checker_allows_exact_code():
+    source = "import math\nfrom math import gcd, prod\nx = gcd(4, 6) * prod([2]) // math.comb(4, 2)"
+    assert float_uses(ast.parse(source)) == []
+    assert foreign_imports(ast.parse("import numpy\nfrom .x import y\nimport fractions")) == ["numpy"]
