@@ -92,42 +92,67 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
     ``j`` over the independent set ``I = C - {j}``: the kernel of
     ``a[:, I + {j}]`` is one-dimensional and its generator is nonzero on
     all of ``I + {j}``.  Depth-first search over linearly independent
-    column sets ``I`` in increasing index order, extending an integer
-    echelon form one column at a time.  Each column is reduced augmented
-    with a unit vector marking its place in ``I + {j}``, so the augmented
-    part tracks the combination of columns that the reduction took.  A
-    column ``j > max(I)`` that reduces to zero in its first ``n_rows``
-    entries depends on ``I``, and the augmented part is the primitive
-    kernel vector on ``I + {j}``; it is a circuit exactly when its support
-    is all of ``I + {j}``, so each circuit is found once, through its
-    largest index.  Any other ``j`` extends ``I``.  Each ``(I, j)`` pair
-    costs one reduction, and the search is at most ``rank(a)`` deep.
+    column sets ``I`` in increasing index order.  Each column carries a
+    unit part that tracks the combination of columns its reduction took:
+    slot ``k`` for the ``k``-th column of ``I``, and the last slot for the
+    column's own coefficient.  A node holds its pending columns, the
+    ``j > max(I)`` independent of ``I``, already reduced against the
+    echelon rows of ``I``.  Choosing a pending ``j`` moves its own
+    coefficient to slot ``len(I)`` and makes it the one new echelon row,
+    against which each later pending column is reduced once.  A later
+    column that reduces to zero in its first ``n_rows`` entries depends on
+    ``I + {j}``, and its unit part is the primitive kernel vector on
+    ``I + {j}`` and itself; it is a circuit exactly when its support is
+    all of that set, so each circuit is found once, through its largest
+    index.  The column then depends on every larger set too, where its
+    kernel vector is zero on the added columns, so it leaves the subtree.
+    Each ``(I, j)`` pair costs one reduction by one row, and the search is
+    at most ``rank(a)`` deep.
     """
     m, n = a.n_rows, a.n_cols
-    cols = a.columns()
-    # I has at most min(m, n) columns, plus one slot for j
+    # I has at most min(m, n) columns, plus the slot of the column itself
     width = min(m, n) + 1
-    units = [tuple(int(k == d) for k in range(width)) for d in range(width)]
+    own = (0,) * (width - 1) + (1,)
     chosen: list[int] = []
     vectors: list[tuple[int, ...]] = []
 
-    def search(start: int, echelon: list) -> None:
-        unit = units[len(chosen)]
-        for j in range(start, n):
-            # the unit entry survives reduction, so the result is never None
-            reduced = _reduce(cols[j] + unit, echelon)
-            pivot, v = reduced
-            if pivot < m:
-                chosen.append(j)
-                search(j + 1, [*echelon, reduced])
-                chosen.pop()
-            elif m + width - v.count(0) == len(chosen) + 1:
-                u = [0] * n
-                for i, x in zip((*chosen, j), v[m:]):
-                    u[i] = x
-                vectors.append(canonical_sign(u))
+    def close(j: int, v: tuple[int, ...]) -> None:
+        # v is zero in its first m entries: a kernel vector on chosen + {j}
+        if m + width - v.count(0) == len(chosen) + 1:
+            u = [0] * n
+            for i, x in zip(chosen, v[m:]):
+                u[i] = x
+            u[j] = v[-1]
+            vectors.append(canonical_sign(u))
 
-    search(0, [])
+    def search(pending: list) -> None:
+        slot = m + len(chosen)
+        for k, (j, (pivot, v)) in enumerate(pending):
+            row = [*v[:-1], 0]
+            row[slot] = v[-1]
+            step = [(pivot, row)]
+            chosen.append(j)
+            children = []
+            for later, reduced in pending[k + 1 :]:
+                w = reduced[1]
+                if w[pivot]:
+                    # the own coefficient survives, so this is never None
+                    reduced = _reduce(w, step)
+                    if reduced[0] >= m:
+                        close(later, reduced[1])
+                        continue
+                children.append((later, reduced))
+            search(children)
+            chosen.pop()
+
+    pending = []
+    for j, col in enumerate(a.columns()):
+        reduced = _reduce(col + own, [])
+        if reduced[0] < m:
+            pending.append((j, reduced))
+        else:
+            close(j, reduced[1])
+    search(pending)
     vectors.sort()
     return CircuitBasis(matrix=a, circuits=tuple(Circuit.from_vector(v) for v in vectors))
 
@@ -140,15 +165,20 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
     ``col_c == -sum(col_i for i in I)``: the all-ones vector on ``S`` then
     spans the kernel of ``a[:, S]``, whose nullity is one.  Depth-first
     search over independent sets ``I`` in increasing index order, at most
-    ``rank(a)`` deep, carrying the running column sum and an integer echelon
-    form extended one column at a time; a column that reduces to zero is
-    dependent and its branch is cut.  Each node looks ``-sum(I)`` up among
-    the columns, so every circuit is found once, through its largest index,
-    and the empty ``I`` finds the zero columns.  Columns are keyed by their
-    digits in a balanced base wide enough for any sum of ``rank(a)``
-    columns, so the key is linear and the running sum costs one integer
-    add per child.  The vectors come back in ascending lexicographic
-    order: the list ``[c.vector for c in binary_circuits(circuit_basis(a))]``.
+    ``rank(a)`` deep, carrying the running column sum.  As in
+    :func:`circuit_basis`, a node holds its pending columns, the
+    ``j > max(I)`` independent of ``I`` reduced against the echelon rows
+    of ``I``, with no unit part; choosing one reduces each later pending
+    column against its row once, and a column that becomes dependent
+    leaves the subtree.  A full-rank ``I`` has no children, so a node one
+    column short of full rank reduces only the columns that close a
+    circuit.  Each node looks ``-sum(I)`` up among the columns, so every
+    circuit is found once, through its largest index, and the empty ``I``
+    finds the zero columns.  Columns are keyed by their digits in a
+    balanced base wide enough for any sum of ``rank(a)`` columns, so the
+    key is linear and the running sum costs one integer add per child.
+    The vectors come back in ascending lexicographic order: the list
+    ``[c.vector for c in binary_circuits(circuit_basis(a))]``.
     """
     n = a.n_cols
     cols = a.columns()
@@ -170,28 +200,39 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
             v[i] = 1
         vectors.append(tuple(v))
 
-    def search(start: int, total: int, echelon: list) -> None:
-        for j in range(start, n):
+    def search(total: int, pending: list) -> None:
+        for k, (j, (pivot, v)) in enumerate(pending):
             grown = total + keys[j]
-            closing = [c for c in where.get(grown, ()) if c > j]
-            last = len(chosen) + 1 == depth
-            # a full-rank I has no children, so unless it closes a circuit
-            # its independence test is wasted
-            if last and not closing:
-                continue
-            reduced = _reduce(cols[j], echelon)
-            if reduced is None:
-                continue
             chosen.append(j)
-            for c in closing:
-                emit(c)
-            if not last:
-                search(j + 1, grown, [*echelon, reduced])
+            for c in where.get(grown, ()):
+                if c > j:
+                    emit(c)
+            if len(chosen) < depth:
+                step = [(pivot, v)]
+                last = len(chosen) + 1 == depth
+                children = []
+                for later, reduced in pending[k + 1 :]:
+                    # a full-rank child has no children, so unless it closes
+                    # a circuit (a later column in the ascending where list)
+                    # its independence test is wasted
+                    if last and where.get(grown + keys[later], [-1])[-1] <= later:
+                        continue
+                    if reduced[1][pivot]:
+                        reduced = _reduce(reduced[1], step)
+                        if reduced is None:
+                            continue
+                    children.append((later, reduced))
+                search(grown, children)
             chosen.pop()
 
     for c in where.get(0, ()):
         emit(c)
-    search(0, 0, [])
+    pending = []
+    for j, col in enumerate(cols):
+        reduced = _reduce(col, [])
+        if reduced is not None:
+            pending.append((j, reduced))
+    search(0, pending)
     vectors.sort()
     return vectors
 

@@ -38,6 +38,7 @@ from .contrast import (
     to_contrast_form,
 )
 from .design_catalog import (
+    MAX_RUNS,
     NotBalancedError,
     OutOfBudgetError,
     anova_two_way,
@@ -59,6 +60,8 @@ EXIT_PARAMS = 2
 EXIT_PRECONDITION = 3
 EXIT_INVALID_SYSTEM = 4
 EXIT_BUDGET = 5
+# the digit limit Python applies when it reads an integer from text
+_MAX_EXPONENT = 4300
 
 
 class CliError(Exception):
@@ -91,6 +94,9 @@ def parse_matrix_text(text: str) -> IntMatrix:
         raise ValueError(f"matrix header must be 'm n', got {lines[0]!r}") from None
     if n_rows < 0 or n_cols < 0:
         raise ValueError("matrix dimensions cannot be negative")
+    # with no entries to read, nothing else bounds the shape
+    if max(n_rows, n_cols) > MAX_RUNS:
+        raise ValueError(f"matrix dimensions exceed the budget of {MAX_RUNS}")
     tokens = [tok for line in lines[1:] for tok in line.split()]
     if len(tokens) != n_rows * n_cols:
         raise ValueError(
@@ -152,10 +158,17 @@ def parse_edges_text(text: str) -> DirectedGraph:
 
 
 def parse_rational_list(text: str) -> list[Fraction]:
-    """Whitespace-separated rationals; accepts '3', '1/2' and '0.25'."""
+    """Whitespace-separated rationals; accepts '3', '1/2', '0.25' and '2.5e3'.
+
+    A decimal exponent beyond 4,300 in absolute value is rejected before
+    ``Fraction`` expands it into a huge integer.
+    """
     values = []
     for tok in (t for line in _strip_comments(text) for t in line.split()):
         try:
+            _, e, exponent = tok.lower().partition("e")
+            if e and abs(int(exponent)) > _MAX_EXPONENT:
+                raise ValueError
             values.append(Fraction(tok))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse rational number {tok!r}") from None
@@ -221,6 +234,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         graph = _parse_edges_arg(args.edges)
         try:
             design = digraph_design(graph)
+        except OutOfBudgetError as exc:
+            raise CliError(EXIT_PARAMS, str(exc)) from exc
         except NotBalancedError as exc:
             raise CliError(EXIT_PRECONDITION, str(exc)) from exc
     else:

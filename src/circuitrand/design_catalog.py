@@ -186,8 +186,13 @@ def digraph_design(g: DirectedGraph) -> DesignModel:
     enters.  Requires an Eulerian balanced graph (else
     :class:`NotBalancedError`): balance makes every vertex column sum to
     zero, so centring leaves the columns unchanged and the contrast matrix
-    keeps the (totally unimodular) incidence structure.
+    keeps the (totally unimodular) incidence structure.  More than
+    ``MAX_RUNS`` edges or vertices raises :class:`OutOfBudgetError`.
     """
+    if max(g.n_edges, g.n_vertices) > MAX_RUNS:
+        raise OutOfBudgetError(
+            f"{g.n_edges} edges on {g.n_vertices} vertices exceed the budget of {MAX_RUNS}"
+        )
     if not is_eulerian_balanced(g):
         raise NotBalancedError("every vertex must have equal in- and out-degree")
     inc_t = incidence_matrix(g).transpose()

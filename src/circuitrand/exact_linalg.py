@@ -11,7 +11,7 @@ independent columns kept before it.  Rank and pivot columns count the
 columns it keeps.  With a unit vector appended to each column, it also
 records the combination of columns that it took, which gives kernel
 vectors, solves and the determinant.  The circuit searches in
-:mod:`circuitrand.circuits` take the same step.
+:mod:`circuitrand.circuits` take the same step, one echelon row at a time.
 """
 
 from __future__ import annotations
@@ -210,7 +210,11 @@ def _reduce(
     the rows before it.  Clearing ``v`` at every pivot by a fraction-free
     row operation leaves zero exactly when ``v`` lies in their span;
     otherwise the primitive remainder, with its first nonzero coordinate as
-    pivot, extends the form by one row.
+    pivot, extends the form by one row.  A remainder that is already
+    primitive comes back undivided.  Dividing by the positive gcd between
+    rows scales every later step by the same factor, so reducing against
+    the rows one call at a time, as the circuit searches do, gives the same
+    primitive remainder as one call against them all.
     """
     for p, row in echelon:
         f = v[p]
@@ -222,7 +226,7 @@ def _reduce(
         return None
     g = gcd(*v)
     # every entry before the first occurrence of lead is zero
-    return v.index(lead), tuple(x // g for x in v)
+    return v.index(lead), tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
 def _unit(k: int, width: int) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circuitrand import circuits
 from circuitrand.circuits import (
     Circuit,
     NotInKernelError,
@@ -24,6 +25,7 @@ from circuitrand.design_catalog import (
     factorial_two_level,
 )
 from circuitrand.exact_linalg import IntMatrix, canonical_sign, rank
+from circuitrand.unimodular import DirectedGraph, incidence_matrix
 
 import oracles
 from conftest import digraph_five
@@ -138,13 +140,65 @@ PINNED_BASES = {
 }
 
 
+def _digest(vectors):
+    listing = "".join(" ".join(map(str, v)) + "\n" for v in vectors)
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", PINNED_BASES)
 def test_catalog_circuit_bases_are_pinned(name):
     design, count, digest = PINNED_BASES[name]
     vectors = circuit_basis(to_contrast_form(design()).contrast.transpose()).vectors()
-    listing = "".join(" ".join(map(str, v)) + "\n" for v in vectors)
     assert len(vectors) == count
-    assert hashlib.sha256(listing.encode()).hexdigest() == digest
+    assert _digest(vectors) == digest
+
+
+def test_each_reduction_takes_at_most_one_row(monkeypatch):
+    # the searches carry reduced columns down the tree, so every (I, j)
+    # pair is reduced against the one echelon row that the last pick added
+    rows_per_call = []
+    reduce = circuits._reduce
+
+    def recording(v, echelon):
+        rows_per_call.append(len(echelon))
+        return reduce(v, echelon)
+
+    monkeypatch.setattr(circuits, "_reduce", recording)
+    for name in ("anova 4x4", "digraph5"):
+        design, count, digest = PINNED_BASES[name]
+        ct = to_contrast_form(design()).contrast.transpose()
+        basis = circuit_basis(ct)
+        assert len(basis) == count
+        assert _digest(basis.vectors()) == digest
+        assert binary_circuit_vectors(ct) == [c.vector for c in binary_circuits(basis)]
+    assert rows_per_call
+    assert max(rows_per_call) <= 1
+
+
+@st.composite
+def multigraph_incidences(draw):
+    """Incidence matrices of directed multigraphs on up to 5 vertices.
+
+    Up to 9 edges, some of them parallel or antiparallel copies of others;
+    vertices that no edge touches stay isolated.  Cycles close after few
+    columns, so many columns turn dependent early in the search.
+    """
+    n_vertices = draw(st.integers(2, 5))
+    vertex = st.integers(0, n_vertices - 1)
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(edge, min_size=1, max_size=6))
+    for t, h in draw(st.lists(st.sampled_from(edges), max_size=3)):
+        edges.append(draw(st.sampled_from([(t, h), (h, t)])))
+    edges = draw(st.permutations(edges))
+    return incidence_matrix(DirectedGraph.from_edges(edges, n_vertices))
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraph_incidences())
+def test_circuit_searches_match_oracle_on_multigraph_incidences(m):
+    vectors = circuit_basis(m).vectors()
+    assert vectors == oracles.brute_circuit_vectors([list(r) for r in m.rows], m.n_cols)
+    assert binary_circuit_vectors(m) == [v for v in vectors if set(v) <= {0, 1}]
 
 
 def test_two_fifth_full_basis():

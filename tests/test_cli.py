@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitrand import cli
 
@@ -63,6 +65,39 @@ def test_blocks_text_round_trip():
 
 def test_parse_rational_list():
     assert [str(x) for x in cli.parse_rational_list("3\n1/2\n0.25\n")] == ["3", "1/2", "1/4"]
+    assert [str(x) for x in cli.parse_rational_list("2.5e3 1E-2")] == ["2500", "1/100"]
+
+
+@pytest.mark.parametrize("token", ["1e5000", "1e-5000", "1E+4301"])
+def test_parse_rational_list_bounds_the_exponent(token):
+    with pytest.raises(ValueError, match="cannot parse rational number"):
+        cli.parse_rational_list(token)
+
+
+@pytest.mark.parametrize("header", ["100000 0", "0 100000", "4097 1"])
+def test_matrix_text_bounds_the_shape(header):
+    # a shape with no entries is read from the header alone
+    with pytest.raises(ValueError, match="budget"):
+        cli.parse_matrix_text(header)
+
+
+PARSERS = [
+    cli.parse_matrix_text,
+    cli.parse_blocks_text,
+    cli.parse_edges_text,
+    cli.parse_rational_list,
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789-/.e# \n", max_size=40))
+def test_parsers_return_or_raise_value_error(text):
+    # the CLI maps ValueError to exit status 2; anything else is a traceback
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except ValueError:
+            pass
 
 
 def test_catalog_factorial_output(capsys, tmp_path):
@@ -115,6 +150,23 @@ def test_catalog_digraph_unbalanced(capsys, tmp_path):
     code, out, err = run(capsys, ["catalog", "digraph", "--edges", str(p)])
     assert code == 3
     assert "degree" in err
+
+
+def test_catalog_digraph_over_budget(capsys, tmp_path):
+    p = tmp_path / "edges.txt"
+    p.write_text("1 100000\n100000 1\n")
+    code, out, err = run(capsys, ["catalog", "digraph", "--edges", str(p)])
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+def test_catalog_digraph_sparse_within_budget(capsys, tmp_path):
+    p = tmp_path / "edges.txt"
+    p.write_text("1 4096\n4096 1\n")
+    code, out, _ = run(capsys, ["catalog", "digraph", "--edges", str(p)])
+    assert code == 0
+    assert out.startswith("2 4097\n1 1 0 ")
 
 
 @pytest.mark.parametrize("text", ["", "# no edges here\n\n"], ids=["empty", "comments"])
@@ -272,6 +324,21 @@ def test_analyse_report(capsys, design_file, tmp_path):
     assert lines["bias"] == "(1/2, 0, 0)"
     assert lines["invariance"] == "violated"
     assert lines["covariance"] == "proper_dominates"
+
+
+@pytest.mark.parametrize("token", ["1e5000", "1e-5000"])
+def test_analyse_rejects_a_huge_exponent(capsys, design_file, tmp_path, token):
+    blocks = tmp_path / "b.txt"
+    blocks.write_text("1 8\n2 7\n3 6\n4 5\n")
+    y = tmp_path / "y.txt"
+    y.write_text(token + "\n" + "".join(f"{i}\n" for i in range(2, 9)))
+    gamma = tmp_path / "g.txt"
+    gamma.write_text("1\n")
+    code, out, err = run(capsys, [
+        "analyse", design_file, "--system", str(blocks), "--y", str(y), "--gamma", str(gamma),
+    ])
+    assert code == 2
+    assert "cannot parse rational number" in err
 
 
 def test_analyse_valid_system_is_invariant(capsys, design_file, tmp_path):

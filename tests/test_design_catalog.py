@@ -124,3 +124,13 @@ def test_digraph_design_requires_balance():
     g = DirectedGraph.from_edges([(0, 1), (1, 2)], 3)
     with pytest.raises(NotBalancedError):
         digraph_design(g)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 99_999), (99_999, 0)], [(0, 1), (1, 0)] * (MAX_RUNS // 2 + 1)],
+    ids=["vertices", "edges"],
+)
+def test_digraph_design_budget(edges):
+    with pytest.raises(OutOfBudgetError):
+        digraph_design(DirectedGraph.from_edges(edges))
