@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .contrast import ContrastModel
-from .exact_linalg import IntMatrix, RationalMatrix, pivot_columns, rational_solve
+from .exact_linalg import IntMatrix, pivot_columns, rational_solve
 from .randomisation import DimensionMismatchError, RandomisationSystem
 
 
@@ -71,18 +71,47 @@ class EstimateReport:
 
 
 @lru_cache(maxsize=None)
-def _lse_operator(model: ContrastModel) -> RationalMatrix:
-    """The exact LSE map ``(M'M)^-1 M'`` of the model matrix ``M = [j : C]``."""
+def _lse_operator(model: ContrastModel) -> tuple[IntMatrix, int]:
+    """The exact LSE map of ``M = [j : C]`` over one common denominator.
+
+    Returns ``(N, d)``: an integer matrix ``N`` and the least positive
+    ``d`` with ``(M'M)^-1 M' = N / d``, so that applying the map costs
+    integer dot products and one division per estimate.
+    """
     m = model.model_matrix()
     mt = m.transpose()
-    return rational_solve(mt.mul(m).to_rational(), mt.to_rational())
+    lse = rational_solve(mt.mul(m).to_rational(), mt.to_rational())
+    d = math.lcm(*(x.denominator for row in lse.rows for x in row))
+    n = IntMatrix.from_rows(
+        ([x.numerator * (d // x.denominator) for x in row] for row in lse.rows),
+        n_cols=lse.n_cols,
+    )
+    return n, d
+
+
+def _scaled(values: Sequence) -> tuple[list[int], int]:
+    """Integers ``v * scale`` for the least positive ``scale`` that clears ``values``."""
+    fracs = [Fraction(v) for v in values]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs], scale
+
+
+def _apply_lse(model: ContrastModel, v: Sequence[int], scale: int) -> tuple[Fraction, ...]:
+    """The LSE map applied to the response ``v / scale``, ``v`` an integer vector."""
+    n, d = _lse_operator(model)
+    return tuple(Fraction(x, d * scale) for x in n.mul_vector(v))
 
 
 def lse_estimates(model: ContrastModel, y: Sequence) -> tuple[Fraction, ...]:
-    """Exact least-squares estimates (intercept first, then contrasts)."""
+    """Exact least-squares estimates (intercept first, then contrasts).
+
+    The response is scaled to integers by the lcm of its denominators, so
+    each estimate is one integer dot product with a row of the LSE map
+    over the product of the two common denominators.
+    """
     if len(y) != model.n_runs:
         raise DimensionMismatchError("response length does not match the model")
-    return _lse_operator(model).mul_vector([Fraction(v) for v in y])
+    return _apply_lse(model, *_scaled(y))
 
 
 def lse_contrast_estimates(model: ContrastModel, y: Sequence) -> tuple[Fraction, ...]:
@@ -131,13 +160,15 @@ def naive_block_bias(
 
     With true response ``E[y] = [j : C] phi + Z gamma`` but only ``[j : C]``
     fitted, the estimate picks up the contrast rows of
-    ``(M'M)^-1 M' Z gamma``; orthogonal blocks give exactly zero.
+    ``(M'M)^-1 M' Z gamma``; orthogonal blocks give exactly zero.  With
+    ``gamma`` scaled to integers, ``Z gamma`` is an integer vector and the
+    bias takes the integer path of :func:`lse_estimates`.
     """
     _validate_indicators(model, z)
     if len(gamma) != z.n_cols:
         raise ValueError("one effect per block column is required")
-    shift = z.to_rational().mul_vector([Fraction(g) for g in gamma])
-    return lse_contrast_estimates(model, shift)
+    g, scale = _scaled(gamma)
+    return _apply_lse(model, z.mul_vector(g), scale)[1:]
 
 
 def covariance_comparison(model: ContrastModel, z: IntMatrix) -> CovarianceOrdering:
@@ -225,6 +256,8 @@ def simulate_ab(
     is added exactly; with ``confounder_sd`` zero every replication returns
     ``theta[0] - theta[1]`` exactly.  Results are deterministic in ``seed``
     and independent of evaluation order (one derived RNG per replication).
+    Raises ``ValueError`` when an input is not finite or an estimate, or
+    their mean or spread, overflows the float range.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("both groups need at least one subject")
@@ -232,23 +265,30 @@ def simulate_ab(
         raise ValueError("at least one replication is required")
     if confounder_sd < 0:
         raise ValueError("the confounder standard deviation cannot be negative")
+    if not all(map(math.isfinite, (*theta, confounder_sd))):
+        raise ValueError("the group means and the confounder sd must be finite")
     n = n1 + n2
     effect = float(theta[0]) - float(theta[1])
     estimates = []
-    for rep in range(replications):
-        rng = random.Random(_substream(seed, rep))
-        confounders = [rng.gauss(0.0, confounder_sd) for _ in range(n)]
-        group_a = set(rng.sample(range(n), n1))
-        mean_a = math.fsum(confounders[i] for i in group_a) / n1
-        mean_b = math.fsum(
-            confounders[i] for i in range(n) if i not in group_a
-        ) / n2
-        estimates.append(effect + (mean_a - mean_b))
-    mean = statistics.fmean(estimates)
-    if replications > 1:
-        standard_error = statistics.stdev(estimates) / math.sqrt(replications)
-    else:
-        standard_error = math.nan
+    try:
+        for rep in range(replications):
+            rng = random.Random(_substream(seed, rep))
+            confounders = [rng.gauss(0.0, confounder_sd) for _ in range(n)]
+            group_a = set(rng.sample(range(n), n1))
+            mean_a = math.fsum(confounders[i] for i in group_a) / n1
+            mean_b = math.fsum(
+                confounders[i] for i in range(n) if i not in group_a
+            ) / n2
+            estimates.append(effect + (mean_a - mean_b))
+        if not all(map(math.isfinite, estimates)):
+            raise OverflowError
+        mean = statistics.fmean(estimates)
+        if replications > 1:
+            standard_error = statistics.stdev(estimates) / math.sqrt(replications)
+        else:
+            standard_error = math.nan
+    except OverflowError:
+        raise ValueError("the simulated estimates overflow the float range") from None
     return AbSummary(
         mean=mean,
         standard_error=standard_error,

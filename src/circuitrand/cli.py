@@ -18,6 +18,7 @@ precondition violated, 4 invalid randomisation system, 5 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -372,6 +373,7 @@ def _randomise_check(args: argparse.Namespace, model: ContrastModel) -> int:
 
 
 def cmd_tu(args: argparse.Namespace) -> int:
+    _require(args.cap >= 0, f"--cap must be at least 0, got {args.cap}")
     matrix = _read_matrix(args.input)
     try:
         verdict = is_totally_unimodular(matrix, size_cap=args.cap)
@@ -410,9 +412,10 @@ def cmd_analyse(args: argparse.Namespace) -> int:
         raise CliError(
             EXIT_PARAMS, f"need {len(blocks)} block effects, got {len(gamma)}"
         )
+    block_of = {run: k for k, b in enumerate(blocks) for run in b}
     z = IntMatrix.from_rows(
         (
-            tuple(int(run in set(b)) for b in blocks)
+            tuple(int(block_of.get(run) == k) for k in range(len(blocks)))
             for run in range(model.n_runs)
         ),
         n_cols=len(blocks),
@@ -492,7 +495,13 @@ def _analyse_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls.
+
+    Parsing leaves no state in the parser: each call returns a fresh
+    namespace, so repeated :func:`main` calls in one process reuse it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",

@@ -12,15 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from .exact_linalg import (
-    IntMatrix,
-    RationalMatrix,
-    clear_denominators,
-    pivot_columns,
-    rational_solve,
-)
+from .exact_linalg import IntMatrix, RationalMatrix, pivot_columns, rational_solve
 
 
 class JNotInColumnSpaceError(ValueError):
@@ -90,10 +85,10 @@ class ContrastModel:
 def to_contrast_form(design: DesignModel) -> ContrastModel:
     """Rewrite a design model in contrast form.
 
-    Each column ``c`` of the design is centred to ``n*c - (j.c)*j``, scaled
-    to a primitive integer vector; the pivot columns of the nonzero centred
-    columns, a maximal independent set kept left to right, are the
-    contrasts.  Raises :class:`JNotInColumnSpaceError` when the all-ones
+    Each column ``c`` of the design is centred to ``n*c - (j.c)*j`` and
+    divided by the gcd of its entries, which makes it primitive; the pivot
+    columns of the nonzero centred columns, a maximal independent set kept
+    left to right, are the contrasts.  Raises :class:`JNotInColumnSpaceError` when the all-ones
     vector is outside the design's column space.
     """
     x = design.matrix
@@ -108,7 +103,8 @@ def to_contrast_form(design: DesignModel) -> ContrastModel:
         total = sum(col)
         w = tuple(n * v - total for v in col)
         if any(w):
-            centred.append(clear_denominators(w))
+            g = gcd(*w)
+            centred.append(tuple(v // g for v in w))
     centred_matrix = IntMatrix.from_rows(
         (tuple(col[i] for col in centred) for i in range(n)), n_cols=len(centred)
     )

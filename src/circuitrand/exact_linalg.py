@@ -176,21 +176,6 @@ class RationalMatrix:
         )
 
 
-def clear_denominators(v: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector, keeping its sign.
-
-    Primitive means the gcd of the entries is 1.  The zero vector is returned
-    unchanged.
-    """
-    fracs = [Fraction(x) for x in v]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * scale) for f in fracs]
-    g = gcd(*ints) if ints else 0
-    if g == 0:
-        return tuple(ints)
-    return tuple(x // g for x in ints)
-
-
 def canonical_sign(v: Sequence[int]) -> tuple[int, ...]:
     """Flip the sign of ``v`` if needed so its first nonzero entry is positive."""
     for x in v:

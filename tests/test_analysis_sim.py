@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circuitrand.analysis_sim import (
@@ -145,6 +145,16 @@ def partition(draw, runs, min_size):
     return blocks
 
 
+def hand_built_model(n, cols):
+    """The contrast model ``[j : cols]`` of zero-sum integer columns, as its own design."""
+    q = len(cols)
+    rows = [(1, *(col[i] for col in cols)) for i in range(n)]
+    design = DesignModel(IntMatrix.from_rows(rows), range(n), range(q + 1))
+    identity = RationalMatrix.from_rows([[int(i == j) for j in range(q + 1)] for i in range(q + 1)])
+    contrast = IntMatrix.from_rows([row[1:] for row in rows], n_cols=q)
+    return ContrastModel(n_runs=n, contrast=contrast, reparam=identity, source=design)
+
+
 @st.composite
 def blocked_models(draw):
     """A contrast model, block columns ``Z`` and a valid-or-not partition.
@@ -164,12 +174,7 @@ def blocked_models(draw):
         if cols and draw(st.integers(0, 9)) == 0:
             k = draw(st.integers(-2, 2))
             cols.append(tuple(k * a + b for a, b in zip(cols[0], cols[-1])))
-        q = len(cols)
-        rows = [(1, *(col[i] for col in cols)) for i in range(n)]
-        design = DesignModel(IntMatrix.from_rows(rows), range(n), range(q + 1))
-        identity = RationalMatrix.from_rows([[int(i == j) for j in range(q + 1)] for i in range(q + 1)])
-        contrast = IntMatrix.from_rows([row[1:] for row in rows], n_cols=q)
-        model = ContrastModel(n_runs=n, contrast=contrast, reparam=identity, source=design)
+        model = hand_built_model(n, cols)
     else:
         model = CATALOG_MODELS[name]
         n = model.n_runs
@@ -218,6 +223,49 @@ def test_block_diagnostics_match_the_two_inverse_oracle(case, data):
     assert block_shift_invariance(model, system, y, gamma) == (
         lse_contrast_estimates(model, y) == lse_contrast_estimates(model, shifted)
     )
+
+
+def normal_equation_solution(model, v):
+    """Solve ``M'M beta = M'v`` for ``M = [j : C]`` by Fraction row reduction."""
+    m = [[Fraction(x) for x in row] for row in model.model_matrix().rows]
+    cols = list(zip(*m))
+    augmented = [
+        [sum(a * b for a, b in zip(ci, cj)) for cj in cols] + [sum(a * b for a, b in zip(ci, v))]
+        for ci in cols
+    ]
+    reduced, pivots = oracles.rref(augmented)
+    assert pivots == list(range(len(cols)))
+    return tuple(row[-1] for row in reduced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_estimates_and_bias_match_the_normal_equations(data):
+    n = data.draw(st.integers(2, 9))
+    q = data.draw(st.integers(1, min(n - 1, 4)))
+    raw = [data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(q)]
+    model = hand_built_model(n, [tuple(n * x - sum(col) for x in col) for col in raw])
+    rows = [[Fraction(x) for x in row] for row in model.model_matrix().rows]
+    assume(len(oracles.rref(rows)[1]) == q + 1)
+
+    fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+    y = data.draw(st.lists(fractions, min_size=n, max_size=n))
+    runs = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    blocks = partition(data.draw, runs, 1)
+    gamma = data.draw(
+        st.one_of(
+            st.just([Fraction(0)] * len(blocks)),
+            st.lists(fractions, min_size=len(blocks), max_size=len(blocks)),
+        )
+    )
+    z = indicator_matrix(n, blocks)
+
+    estimates = lse_estimates(model, y)
+    assert estimates == normal_equation_solution(model, y)
+    assert all(type(v) is Fraction for v in estimates)
+    bias = naive_block_bias(model, z, gamma)
+    assert bias == normal_equation_solution(model, z.to_rational().mul_vector(gamma))[1:]
+    assert all(type(v) is Fraction for v in bias)
 
 
 def test_analyse_experiment_report(model_2cubed):

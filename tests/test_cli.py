@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -308,6 +312,17 @@ def test_tu_budget(capsys, contrast_file):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "-1000"])
+def test_tu_negative_cap_is_a_parameter_error(capsys, contrast_file, cap):
+    code, out, err = run(capsys, ["tu", contrast_file, "--cap", cap])
+    assert (code, out) == (2, "")
+    assert "--cap must be at least 0" in err
+    # a zero cap is a budget that any nonempty matrix exceeds
+    code, _, err = run(capsys, ["tu", contrast_file, "--cap", "0"])
+    assert code == 5
+    assert "budget is 0" in err
+
+
 def test_analyse_report(capsys, design_file, tmp_path):
     blocks = tmp_path / "b.txt"
     blocks.write_text("1 2 3 4\n")
@@ -388,3 +403,58 @@ def test_analyse_simulate(capsys):
 def test_analyse_needs_inputs(capsys):
     code, out, err = run(capsys, ["analyse"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--sd", "nan"],
+        ["--theta1", "nan"],
+        ["--theta2", "inf"],
+        ["--theta1=1e308", "--theta2=-1e308"],
+        ["--sd", "1e308"],
+    ],
+    ids=["sd-nan", "theta1-nan", "theta2-inf", "effect-overflow", "sd-overflow"],
+)
+def test_analyse_simulate_rejects_non_finite_floats(capsys, extra):
+    code, out, err = run(capsys, ["analyse", "--simulate", "--n1", "3", "--n2", "3", *extra])
+    assert (code, out) == (2, "")
+    assert err.startswith("circuitrand: ") and "Traceback" not in err
+    assert "finite" in err or "overflow" in err
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, design_file, tmp_path, contrast_file):
+    """The parser built once per process carries no option state between calls."""
+    valid = tmp_path / "valid.txt"
+    valid.write_text("1 8\n2 7\n3 6\n4 5\n")
+    invalid = tmp_path / "invalid.txt"
+    invalid.write_text("1 2 3 4\n5 6 7 8\n")
+    y = tmp_path / "y.txt"
+    y.write_text("".join(f"{i}/3\n" for i in range(1, 9)))
+    gamma = tmp_path / "g.txt"
+    gamma.write_text("1\n-1/2\n")
+    analyse = ["analyse", design_file, "--system", str(invalid), "--y", str(y), "--gamma", str(gamma)]
+    commands = [
+        analyse + ["--format", "records"],
+        analyse,
+        ["randomise", design_file, "--check", str(valid)],
+        ["randomise", design_file, "--check", str(invalid)],
+        ["randomise", design_file, "--check", str(valid), "--enumerate"],
+        ["tu", contrast_file],
+        ["circuits", contrast_file, "--binary"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    codes = []
+    for argv in commands:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process = (code, capsys.readouterr().out)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "circuitrand.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert in_process == (fresh.returncode, fresh.stdout), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 4, 2, 0, 0]

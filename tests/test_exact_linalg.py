@@ -11,7 +11,6 @@ from circuitrand.exact_linalg import (
     RationalMatrix,
     SingularError,
     canonical_sign,
-    clear_denominators,
     determinant,
     kernel_basis,
     pivot_columns,
@@ -225,12 +224,6 @@ def test_rational_solve_matches_the_rref_oracle(n, k, data):
     x = rational_solve(gram, rhs)
     assert x.rows == tuple(tuple(row[n:]) for row in reduced)
     assert gram.mul(x).rows == rhs.rows
-
-
-def test_clear_denominators():
-    assert clear_denominators([Fraction(1, 2), Fraction(-3, 4)]) == (2, -3)
-    assert clear_denominators([Fraction(2), Fraction(4)]) == (1, 2)
-    assert clear_denominators([Fraction(-1, 3), Fraction(0)]) == (-1, 0)
 
 
 def test_canonical_sign():
