@@ -54,7 +54,6 @@ from .design_catalog import (
 from .exact_linalg import (
     IntMatrix,
     NonSquareError,
-    RationalMatrix,
     SingularError,
     determinant,
     kernel_basis,
@@ -104,7 +103,6 @@ __all__ = [
     "OutOfBudgetError",
     "RandomisationSystem",
     "RankDeficientError",
-    "RationalMatrix",
     "SchemeCatalog",
     "SingularError",
     "TooLargeError",

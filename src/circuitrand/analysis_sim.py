@@ -80,13 +80,7 @@ def _lse_operator(model: ContrastModel) -> tuple[IntMatrix, int]:
     """
     m = model.model_matrix()
     mt = m.transpose()
-    lse = rational_solve(mt.mul(m).to_rational(), mt.to_rational())
-    d = math.lcm(*(x.denominator for row in lse.rows for x in row))
-    n = IntMatrix.from_rows(
-        ([x.numerator * (d // x.denominator) for x in row] for row in lse.rows),
-        n_cols=lse.n_cols,
-    )
-    return n, d
+    return rational_solve(mt.mul(m), mt)
 
 
 def _scaled(values: Sequence) -> tuple[list[int], int]:

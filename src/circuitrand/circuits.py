@@ -28,44 +28,40 @@ class NotInKernelError(ValueError):
 class Circuit:
     """A primitive kernel vector of minimal support.
 
-    ``support``, ``positive_support`` and ``negative_support`` hold sorted
-    0-based coordinate indices.  Vectors produced by :func:`circuit_basis`
-    carry the canonical sign (first nonzero entry positive); sign-aligned
-    copies with the opposite sign appear in conformal decompositions.
+    ``support``, ``positive_support`` and ``negative_support`` read sorted
+    0-based coordinate indices off ``vector``.  Vectors produced by
+    :func:`circuit_basis` carry the canonical sign (first nonzero entry
+    positive); sign-aligned copies with the opposite sign appear in
+    conformal decompositions.
     """
 
     vector: tuple[int, ...]
-    support: tuple[int, ...]
-    positive_support: tuple[int, ...]
-    negative_support: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not any(self.vector):
+            raise ValueError("a circuit vector must be nonzero")
 
     @classmethod
     def from_vector(cls, vector: Sequence[int]) -> "Circuit":
-        v = tuple(map(int, vector))
-        support: list[int] = []
-        positive: list[int] = []
-        negative: list[int] = []
-        for i, x in enumerate(v):
-            if x > 0:
-                support.append(i)
-                positive.append(i)
-            elif x:
-                support.append(i)
-                negative.append(i)
-        if not support:
-            raise ValueError("a circuit vector must be nonzero")
-        return cls(
-            vector=v,
-            support=tuple(support),
-            positive_support=tuple(positive),
-            negative_support=tuple(negative),
-        )
+        return cls(tuple(map(int, vector)))
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(i for i, x in enumerate(self.vector) if x)
+
+    @property
+    def positive_support(self) -> tuple[int, ...]:
+        return tuple(i for i, x in enumerate(self.vector) if x > 0)
+
+    @property
+    def negative_support(self) -> tuple[int, ...]:
+        return tuple(i for i, x in enumerate(self.vector) if x < 0)
 
     def negated(self) -> "Circuit":
-        return Circuit.from_vector(tuple(-x for x in self.vector))
+        return Circuit(tuple(-x for x in self.vector))
 
     def is_nonnegative(self) -> bool:
-        return not self.negative_support
+        return min(self.vector) >= 0
 
     def is_binary(self) -> bool:
         return all(x in (0, 1) for x in self.vector)
@@ -154,7 +150,7 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
             close(j, reduced[1])
     search(pending)
     vectors.sort()
-    return CircuitBasis(matrix=a, circuits=tuple(Circuit.from_vector(v) for v in vectors))
+    return CircuitBasis(matrix=a, circuits=tuple(map(Circuit, vectors)))
 
 
 def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:

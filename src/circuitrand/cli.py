@@ -48,7 +48,11 @@ from .design_catalog import (
     factorial_two_level,
 )
 from .exact_linalg import IntMatrix
-from .randomisation import RandomisationSystem, enumerate_circuit_randomisations
+from .randomisation import (
+    RandomisationSystem,
+    _block_violation,
+    enumerate_circuit_randomisations,
+)
 from .unimodular import (
     DEFAULT_SIZE_CAP,
     DirectedGraph,
@@ -358,16 +362,14 @@ def _randomise_check(args: argparse.Namespace, model: ContrastModel) -> int:
         system = RandomisationSystem.from_blocks(model.n_runs, blocks)
     except ValueError as exc:
         raise CliError(EXIT_INVALID_SYSTEM, f"invalid system: {exc}") from exc
-    columns = model.contrast.columns()
-    for block in system.blocks:
-        for j, column in enumerate(columns):
-            product = sum(column[i] for i in block)
-            if product != 0:
-                raise CliError(
-                    EXIT_INVALID_SYSTEM,
-                    f"invalid system: block {_format_block(block)} has inner "
-                    f"product {product} with contrast column {j + 1}",
-                )
+    violation = _block_violation(model, system.blocks)
+    if violation is not None:
+        block, j, product = violation
+        raise CliError(
+            EXIT_INVALID_SYSTEM,
+            f"invalid system: block {_format_block(block)} has inner "
+            f"product {product} with contrast column {j + 1}",
+        )
     _emit(args, ["valid"], {"valid": True})
     return EXIT_OK
 

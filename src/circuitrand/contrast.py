@@ -1,11 +1,11 @@
-"""Contrast-form reparametrisation of design matrices.
+"""Contrast form of design matrices.
 
 A linear model ``E[y] = X theta`` whose column space contains the all-ones
 vector ``j`` can be rewritten as ``E[y] = [j : C] phi`` where every column of
 ``C`` sums to zero.  The columns of ``C`` are contrasts: block totals taken
 against them are insensitive to a constant shift, which is what makes block
-randomisation analysable.  This module builds that form and the exact linear
-reparametrisation ``phi = R theta``.
+randomisation analysable.  This module builds that form; ``[j : C]`` spans
+the column space of ``X``, and everything downstream reads only ``C``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, RationalMatrix, pivot_columns, rational_solve
+from .exact_linalg import IntMatrix, pivot_columns
 
 
 class JNotInColumnSpaceError(ValueError):
@@ -51,26 +51,23 @@ class DesignModel:
 
 @dataclass(frozen=True)
 class ContrastModel:
-    """Contrast form ``[j : contrast]`` of a design, plus the parameter map.
+    """Contrast form ``[j : contrast]`` of a design.
 
     ``contrast`` is an ``n x q`` integer matrix whose columns each sum to
-    zero and are linearly independent; ``q = rank(source.matrix) - 1``.
-    ``reparam`` is the ``(q+1) x p`` rational matrix with
-    ``[j : contrast] @ reparam == source.matrix`` exactly, i.e. it maps the
-    source parameters onto (intercept, contrast) coordinates.
+    zero; :func:`to_contrast_form` makes them linearly independent, with
+    ``q = rank(X) - 1`` for the design matrix ``X``.
     """
 
-    n_runs: int
     contrast: IntMatrix
-    reparam: RationalMatrix
-    source: DesignModel
 
     def __post_init__(self) -> None:
-        if self.contrast.n_rows != self.n_runs:
-            raise ValueError("contrast row count does not match n_runs")
         for j in range(self.contrast.n_cols):
             if sum(self.contrast.column(j)) != 0:
                 raise ValueError(f"contrast column {j} does not sum to zero")
+
+    @property
+    def n_runs(self) -> int:
+        return self.contrast.n_rows
 
     @property
     def n_contrasts(self) -> int:
@@ -98,22 +95,14 @@ def to_contrast_form(design: DesignModel) -> ContrastModel:
         raise JNotInColumnSpaceError("the all-ones vector is not in the column space")
 
     centred: list[tuple[int, ...]] = []
-    for j in range(x.n_cols):
-        col = x.column(j)
+    for col in x.columns():
         total = sum(col)
         w = tuple(n * v - total for v in col)
         if any(w):
             g = gcd(*w)
             centred.append(tuple(v // g for v in w))
-    centred_matrix = IntMatrix.from_rows(
-        (tuple(col[i] for col in centred) for i in range(n)), n_cols=len(centred)
-    )
-    contrast = centred_matrix.restrict_columns(pivot_columns(centred_matrix))
-
-    model = ones.hstack(contrast)
-    mt = model.transpose()
-    reparam = rational_solve(mt.mul(model).to_rational(), mt.mul(x).to_rational())
-    return ContrastModel(n_runs=n, contrast=contrast, reparam=reparam, source=design)
+    centred_matrix = IntMatrix.from_rows(centred, n_cols=n).transpose()
+    return ContrastModel(centred_matrix.restrict_columns(pivot_columns(centred_matrix)))
 
 
 def empirical_contrast_check(coefficients: Sequence) -> bool:

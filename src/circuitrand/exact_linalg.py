@@ -1,7 +1,7 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact dense linear algebra over the integers.
 
-Everything in this module computes with Python's unbounded integers and
-:class:`fractions.Fraction`.  No floating point is used anywhere, so ranks,
+Everything in this module computes with Python's unbounded integers alone,
+and a solve returns an integer matrix over one common denominator, so ranks,
 determinants, kernels and solves are exact at any magnitude.  Matrices are
 small dense tuples of tuples; the library targets design matrices with at
 most a few thousand entries, not bulk numerics.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -117,63 +116,6 @@ class IntMatrix:
         if len(v) != self.n_cols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
-
-    def to_rational(self) -> "RationalMatrix":
-        return RationalMatrix.from_rows(self.rows, n_cols=self.n_cols)
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable dense matrix of :class:`fractions.Fraction` entries."""
-
-    n_rows: int
-    n_cols: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if len(rows) != self.n_rows:
-            raise ValueError(f"expected {self.n_rows} rows, got {len(rows)}")
-        for row in rows:
-            if len(row) != self.n_cols:
-                raise ValueError(f"expected {self.n_cols} entries per row, got {len(row)}")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable], n_cols: int | None = None) -> "RationalMatrix":
-        materialised = tuple(tuple(r) for r in rows)
-        if materialised:
-            width = len(materialised[0])
-        elif n_cols is None:
-            raise ValueError("n_cols is required for a matrix with no rows")
-        else:
-            width = n_cols
-        return cls(len(materialised), width, materialised)
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def mul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.n_cols != other.n_rows:
-            raise ValueError("inner dimensions do not match")
-        cols = [other.column(j) for j in range(other.n_cols)]
-        return RationalMatrix.from_rows(
-            (
-                tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
-                for row in self.rows
-            ),
-            n_cols=other.n_cols,
-        )
-
-    def mul_vector(self, v: Sequence) -> tuple[Fraction, ...]:
-        if len(v) != self.n_cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(
-            sum((a * Fraction(b) for a, b in zip(row, v)), Fraction(0))
-            for row in self.rows
-        )
 
 
 def canonical_sign(v: Sequence[int]) -> tuple[int, ...]:
@@ -302,35 +244,29 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     return [canonical_sign(v) for v in kernel]
 
 
-def rational_solve(gram: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
-    """Solve ``gram @ X = rhs`` exactly.
+def rational_solve(gram: IntMatrix, rhs: IntMatrix) -> tuple[IntMatrix, int]:
+    """Solve ``gram @ X = rhs`` exactly, over one common denominator.
 
-    Each row of ``[gram | rhs]`` is scaled to integers.  ``gram`` is
-    nonsingular exactly when each of its columns is independent of the ones
-    before it.  Then each column ``b`` of ``rhs``, reduced with a unit
-    appended, leaves ``(beta, alpha)`` with ``alpha b + gram beta = 0``, and
-    its solution is ``-beta / alpha``.  ``gram`` must be square (else
-    :class:`NonSquareError`) and nonsingular (else :class:`SingularError`);
-    ``rhs`` may have any number of columns.  The result satisfies
-    ``gram.mul(result) == rhs`` exactly.
+    ``gram`` is nonsingular exactly when each of its columns is independent
+    of the ones before it.  Then each column ``b`` of ``rhs``, reduced with
+    a unit appended, leaves a primitive ``(beta, alpha)`` with
+    ``alpha b + gram beta = 0``, so its solution is ``-beta / alpha`` and
+    ``|alpha|`` is its least denominator.  Returns ``(N, d)`` with ``d``
+    the lcm of those denominators, the least positive ``d`` that makes
+    ``N = d X`` integer, so ``gram.mul(N) == d * rhs`` exactly.  ``gram``
+    must be square (else :class:`NonSquareError`) and nonsingular (else
+    :class:`SingularError`); ``rhs`` may have any number of columns.
     """
     if gram.n_rows != gram.n_cols:
         raise NonSquareError(f"solve needs a square matrix, got {gram.n_rows}x{gram.n_cols}")
     if rhs.n_rows != gram.n_rows:
         raise ValueError("right-hand side row count does not match")
     n = gram.n_rows
-    scaled = []
-    for row in (g + b for g, b in zip(gram.rows, rhs.rows)):
-        scale = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (scale // x.denominator) for x in row])
-    columns = IntMatrix.from_rows(scaled, n_cols=n + rhs.n_cols).columns()
-    echelon, kernel = _reduce_columns(columns[:n], n, n + 1)
+    echelon, kernel = _reduce_columns(gram.columns(), n, n + 1)
     if kernel:
         raise SingularError("coefficient matrix is singular")
-    solution = []
-    for b in columns[n:]:
-        _, v = _reduce(b + _unit(n, n + 1), echelon)
-        solution.append([Fraction(-x, v[-1]) for x in v[n:-1]])
-    return RationalMatrix.from_rows(
-        (tuple(col[i] for col in solution) for i in range(n)), n_cols=rhs.n_cols
-    )
+    # every reduced column is zero in its first n entries
+    reduced = [_reduce(b + _unit(n, n + 1), echelon)[1][n:] for b in rhs.columns()]
+    d = lcm(*(v[-1] for v in reduced))
+    solution = [[-x * (d // v[-1]) for x in v[:-1]] for v in reduced]
+    return IntMatrix.from_rows(solution, n_cols=n).transpose(), d

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 # circuit_basis stays importable here: bench/worker.py traces randomisation.circuit_basis
 from .circuits import binary_circuit_vectors, circuit_basis  # noqa: F401
@@ -112,18 +112,31 @@ class SchemeCatalog:
         return len(self.systems)
 
 
+def _block_violation(
+    model: ContrastModel, blocks: Iterable[Collection[int]]
+) -> tuple[Collection[int], int, int] | None:
+    """The first block not orthogonal to a contrast column, or ``None``.
+
+    Returns ``(block, column, product)``: the first block, in order, with a
+    nonzero sum over some contrast column, the 0-based index of the first
+    such column, and that sum.
+    """
+    cols = model.contrast.columns()
+    for b in blocks:
+        for j, col in enumerate(cols):
+            product = sum(col[i] for i in b)
+            if product:
+                return b, j, product
+    return None
+
+
 def is_valid_randomisation(model: ContrastModel, system: RandomisationSystem) -> bool:
     """True when every block indicator is orthogonal to every contrast column."""
     if system.n_runs != model.n_runs:
         raise DimensionMismatchError(
             f"system has {system.n_runs} runs, model has {model.n_runs}"
         )
-    cols = model.contrast.columns()
-    for b in system.blocks:
-        for col in cols:
-            if sum(col[i] for i in b) != 0:
-                return False
-    return True
+    return _block_violation(model, system.blocks) is None
 
 
 @lru_cache(maxsize=64)
@@ -189,10 +202,11 @@ def _cover_systems(
         for i in s:
             m |= 1 << i
         masks.append(m)
-    systems = {
+    # distinct supports make the covers, each emitted once, distinct systems
+    systems = [
         RandomisationSystem.from_blocks(n, (supports[i] for i in cover))
         for cover in _exact_covers(n, masks)
-    }
+    ]
     return sorted(systems, key=lambda s: s.blocks)
 
 
@@ -267,12 +281,11 @@ def is_decomposable(model: ContrastModel, v: Sequence[int]) -> bool:
         raise ValueError("randomisation vectors must be binary")
     if not any(w):
         raise NotARandomisationVectorError("the zero vector is not a randomisation vector")
-    for col in model.contrast.columns():
-        if sum(c * x for c, x in zip(col, w)) != 0:
-            raise NotARandomisationVectorError(
-                "vector is not orthogonal to the contrast columns"
-            )
     support = {i for i, x in enumerate(w) if x}
+    if _block_violation(model, [support]) is not None:
+        raise NotARandomisationVectorError(
+            "vector is not orthogonal to the contrast columns"
+        )
     return any(set(s) < support for s in (
         tuple(i for i, x in enumerate(u) if x) for u in _randomisation_vectors(model)
     ))

@@ -230,6 +230,8 @@ def test_digraph_systems_outside_the_paper_table_are_cycle_decompositions():
     """
     model = to_contrast_form(digraph_design(digraph_five()))
     catalog = enumerate_circuit_randomisations(model)
+    # each exact cover is emitted once, so no system repeats
+    assert len(set(catalog.systems)) == len(catalog.systems) == 57
     extra = [s for s in catalog.systems if s.shape not in REQUIRED_DIGRAPH_SHAPES]
     assert Counter(s.shape for s in extra) == {(5, 4, 3, 3): 15, (4, 3, 3, 3, 2): 10}
     columns = model.contrast.columns()

@@ -20,9 +20,9 @@ from circuitrand.analysis_sim import (
     naive_block_bias,
     simulate_ab,
 )
-from circuitrand.contrast import ContrastModel, DesignModel, to_contrast_form
+from circuitrand.contrast import ContrastModel, to_contrast_form
 from circuitrand.design_catalog import anova_two_way, choice_k_of_2k, factorial_two_level
-from circuitrand.exact_linalg import IntMatrix, RationalMatrix
+from circuitrand.exact_linalg import IntMatrix
 from circuitrand.randomisation import (
     DimensionMismatchError,
     RandomisationSystem,
@@ -47,7 +47,7 @@ def test_lse_estimates_orthogonal_design(model_2cubed):
 
 def test_lse_estimates_match_normal_equations(model_choice):
     rng = random.Random(1)
-    m = model_choice.model_matrix().to_rational()
+    m = model_choice.model_matrix()
     for _ in range(20):
         y = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(6)]
         est = lse_estimates(model_choice, y)
@@ -146,13 +146,9 @@ def partition(draw, runs, min_size):
 
 
 def hand_built_model(n, cols):
-    """The contrast model ``[j : cols]`` of zero-sum integer columns, as its own design."""
-    q = len(cols)
-    rows = [(1, *(col[i] for col in cols)) for i in range(n)]
-    design = DesignModel(IntMatrix.from_rows(rows), range(n), range(q + 1))
-    identity = RationalMatrix.from_rows([[int(i == j) for j in range(q + 1)] for i in range(q + 1)])
-    contrast = IntMatrix.from_rows([row[1:] for row in rows], n_cols=q)
-    return ContrastModel(n_runs=n, contrast=contrast, reparam=identity, source=design)
+    """The contrast model ``[j : cols]`` of zero-sum integer columns."""
+    rows = [tuple(col[i] for col in cols) for i in range(n)]
+    return ContrastModel(IntMatrix.from_rows(rows, n_cols=len(cols)))
 
 
 @st.composite
@@ -264,7 +260,7 @@ def test_estimates_and_bias_match_the_normal_equations(data):
     assert estimates == normal_equation_solution(model, y)
     assert all(type(v) is Fraction for v in estimates)
     bias = naive_block_bias(model, z, gamma)
-    assert bias == normal_equation_solution(model, z.to_rational().mul_vector(gamma))[1:]
+    assert bias == normal_equation_solution(model, z.mul_vector(gamma))[1:]
     assert all(type(v) is Fraction for v in bias)
 
 

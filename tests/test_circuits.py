@@ -44,6 +44,15 @@ def test_circuit_from_vector():
     assert c.negative_support == (3,)
     assert not c.is_nonnegative()
     assert c.negated().vector == (0, -2, 0, 1)
+    assert Circuit.from_vector([1.0, 0]) == Circuit((1, 0))
+    assert type(Circuit.from_vector([1.0, 0]).vector[0]) is int
+
+
+def test_zero_circuit_rejected():
+    with pytest.raises(ValueError, match="nonzero"):
+        Circuit((0, 0))
+    with pytest.raises(ValueError, match="nonzero"):
+        Circuit.from_vector([0])
 
 
 def test_circuit_basis_matches_brute_force():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitrand.contrast import (
+    ContrastModel,
     DesignModel,
     JNotInColumnSpaceError,
     empirical_contrast_check,
@@ -50,12 +51,26 @@ def test_model_matrix_prepends_ones():
     assert mm.n_cols == 1 + model.n_contrasts
 
 
-def test_reparam_recovers_the_design():
-    """[j : X1] times the reparametrisation equals the original matrix."""
+def test_contrast_form_keeps_the_column_space():
+    """[j : C] spans the column space of the design matrix X."""
     for design in (factorial_two_level(3), anova_two_way(3, 3), choice_k_of_2k(2)):
-        model = to_contrast_form(design)
-        recovered = model.model_matrix().to_rational().mul(model.reparam)
-        assert recovered.rows == design.matrix.to_rational().rows
+        x = design.matrix
+        model_matrix = to_contrast_form(design).model_matrix()
+        assert rank(model_matrix.hstack(x)) == rank(x) == rank(model_matrix)
+
+
+def test_contrast_model_rejects_a_column_that_does_not_sum_to_zero():
+    ContrastModel(IntMatrix.from_rows([[1, 1], [-1, 0], [0, -1]]))
+    with pytest.raises(ValueError, match="contrast column 1 does not sum to zero"):
+        ContrastModel(IntMatrix.from_rows([[1, 1], [-1, 0], [0, 0]]))
+
+
+def test_intercept_only_design_keeps_its_run_count():
+    m = IntMatrix.from_rows([[2], [2], [2], [2], [2]])
+    design = DesignModel(matrix=m, run_labels="abcde", param_labels=("1",))
+    model = to_contrast_form(design)
+    assert (model.n_runs, model.n_contrasts) == (5, 0)
+    assert model.model_matrix().rows == ((1,),) * 5
 
 
 def test_contrast_rank_matches_design_rank():

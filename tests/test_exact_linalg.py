@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from circuitrand.exact_linalg import (
     IntMatrix,
     NonSquareError,
-    RationalMatrix,
     SingularError,
     canonical_sign,
     determinant,
@@ -66,11 +66,6 @@ def test_mul_and_mul_vector():
     assert a.mul_vector([1, -1]) == (-1, -1)
 
 
-def test_rational_matrix_normalises_entries():
-    m = RationalMatrix.from_rows([[1, Fraction(1, 2)]])
-    assert m.rows == ((Fraction(1), Fraction(1, 2)),)
-
-
 def test_rank_against_elimination_oracle():
     rng = random.Random(42)
     for _ in range(150):
@@ -116,24 +111,27 @@ def test_kernel_of_full_rank_matrix_is_empty():
 
 
 def test_rational_solve_round_trip():
-    a = RationalMatrix.from_rows([[2, 1], [1, 3]])
-    rhs = RationalMatrix.from_rows([[1], [0]])
-    x = rational_solve(a, rhs)
-    assert a.mul(x).rows == rhs.rows
-    a = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(5, 7), Fraction(3, 4)]])
-    rhs = RationalMatrix.from_rows([[Fraction(1, 3), 2], [Fraction(-7, 5), Fraction(1, 6)]])
-    x = rational_solve(a, rhs)
-    assert a.mul(x).rows == rhs.rows
-    assert any(v.denominator > 1 for row in x.rows for v in row)
+    a = IntMatrix.from_rows([[2, 1], [1, 3]])
+    n, d = rational_solve(a, IntMatrix.from_rows([[1], [0]]))
+    assert (n.rows, d) == (((3,), (-1,)), 5)
+    a = IntMatrix.from_rows([[4, -2], [6, 9]])
+    rhs = IntMatrix.from_rows([[1, 2, 0], [-7, 1, 0]])
+    n, d = rational_solve(a, rhs)
+    assert a.mul(n).rows == tuple(tuple(d * x for x in row) for row in rhs.rows)
+    assert (d, n.column(2)) == (48, (0, 0))
+    n, d = rational_solve(IntMatrix.identity(3), IntMatrix.from_rows([[], [], []], n_cols=0))
+    assert (n.n_rows, n.n_cols, d) == (3, 0, 1)
 
 
 def test_rational_solve_singular():
-    a = RationalMatrix.from_rows([[1, 2], [2, 4]])
+    a = IntMatrix.from_rows([[1, 2], [2, 4]])
     # with [3] the rank of [a | rhs] is 2, but its second pivot lies in rhs
     for b in ([1], [3]):
-        rhs = RationalMatrix.from_rows([[1], b])
+        rhs = IntMatrix.from_rows([[1], b])
         with pytest.raises(SingularError):
             rational_solve(a, rhs)
+    with pytest.raises(NonSquareError):
+        rational_solve(IntMatrix.from_rows([[1, 2]]), IntMatrix.from_rows([[1]]))
 
 
 @st.composite
@@ -206,24 +204,25 @@ def test_determinant_against_cofactor_oracle(rows):
     assert determinant(m) == oracles.det_cofactor(rows)
 
 
-fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 3), st.data())
 def test_rational_solve_matches_the_rref_oracle(n, k, data):
-    g_rows = data.draw(st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n))
-    b_rows = data.draw(st.lists(st.lists(fractions, min_size=k, max_size=k), min_size=n, max_size=n))
-    gram = RationalMatrix.from_rows(g_rows, n_cols=n)
-    rhs = RationalMatrix.from_rows(b_rows, n_cols=k)
-    if len(oracles.rref(g_rows)[1]) < n:
+    entries = st.just(0) | st.integers(-40, 40)
+    g_rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    b_rows = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    gram = IntMatrix.from_rows(g_rows, n_cols=n)
+    rhs = IntMatrix.from_rows(b_rows, n_cols=k)
+    if len(oracles.rref([[Fraction(x) for x in row] for row in g_rows])[1]) < n:
         with pytest.raises(SingularError):
             rational_solve(gram, rhs)
         return
-    reduced, _ = oracles.rref([g + b for g, b in zip(g_rows, b_rows)])
-    x = rational_solve(gram, rhs)
-    assert x.rows == tuple(tuple(row[n:]) for row in reduced)
-    assert gram.mul(x).rows == rhs.rows
+    reduced, _ = oracles.rref([[Fraction(x) for x in g + b] for g, b in zip(g_rows, b_rows)])
+    expected = [row[n:] for row in reduced]
+    x, d = rational_solve(gram, rhs)
+    assert [[Fraction(v, d) for v in row] for row in x.rows] == expected
+    # d is the least common denominator of the solution
+    assert d == math.lcm(*(v.denominator for row in expected for v in row))
+    assert gram.mul(x).rows == tuple(tuple(d * v for v in row) for row in rhs.rows)
 
 
 def test_canonical_sign():

@@ -75,6 +75,17 @@ def test_core_module_is_exact_and_stdlib_only(module):
     assert foreign_imports(tree) == []
 
 
+def test_exact_linalg_is_integer_only():
+    """The elimination core computes with ints alone, so it imports no fractions."""
+    path = Path(circuitrand.__file__).parent / "exact_linalg.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert "fractions" not in modules
+
+
 def test_exact_half_of_analysis_sim_is_exact_and_stdlib_only():
     path = Path(circuitrand.__file__).parent / "analysis_sim.py"
     tree = ast.parse(path.read_text(), filename=str(path))

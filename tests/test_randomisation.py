@@ -172,6 +172,8 @@ def test_covering_pairs_oracle_on_a_chain():
 def test_refinement_edges_match_covering_oracle(name, include_full):
     model = to_contrast_form(CATALOG_DESIGNS[name]())
     catalog = enumerate_circuit_randomisations(model, include_full=include_full)
+    # each exact cover is emitted once, so no system repeats
+    assert len(set(catalog.systems)) == len(catalog.systems)
     expected = oracles.covering_pairs([s.blocks for s in catalog.systems])
     assert list(catalog.refinement_edges) == expected
     assert len(expected) == (len(catalog) - 1 if include_full else 0)
