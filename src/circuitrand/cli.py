@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -333,23 +334,18 @@ def cmd_randomise(args: argparse.Namespace) -> int:
     if args.format == "records":
         records["systems"] = [[[i + 1 for i in b] for b in s.blocks] for s in catalog.systems]
     if args.shapes:
+        shape_counts = catalog.shape_counts
         lines.append("shapes:")
         lines += [
             "+".join(str(x) for x in shape) + f" {count}"
-            for shape, count in catalog.shape_counts.items()
+            for shape, count in shape_counts.items()
         ]
-        records["shapes"] = [
-            [list(shape), count] for shape, count in catalog.shape_counts.items()
-        ]
+        records["shapes"] = [[list(shape), count] for shape, count in shape_counts.items()]
     if args.lattice:
-        lines.append(f"lattice-edges={len(catalog.refinement_edges)}")
-        lines += [
-            f"{coarser + 1} covers {finer + 1}"
-            for coarser, finer in catalog.refinement_edges
-        ]
-        records["lattice_edges"] = [
-            [coarser + 1, finer + 1] for coarser, finer in catalog.refinement_edges
-        ]
+        edges = catalog.refinement_edges
+        lines.append(f"lattice-edges={len(edges)}")
+        lines += [f"{coarser + 1} covers {finer + 1}" for coarser, finer in edges]
+        records["lattice_edges"] = [[coarser + 1, finer + 1] for coarser, finer in edges]
     _emit(args, lines, records)
     return EXIT_OK
 
@@ -555,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_SIZE_CAP,
-        help="largest number of square submatrices to test",
+        help="budget on the number of square submatrices the matrix has "
+        "(not the number the test examines)",
     )
     p_tu.set_defaults(func=cmd_tu)
 
@@ -583,10 +580,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush inside the try, so a closed pipe is caught here
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"circuitrand: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the interpreter's
+        # exit flush does not fail again, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,10 +16,11 @@ in closed form.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Collection, Iterable, Mapping, Sequence
+from operator import index
+from typing import Collection, Iterable, Sequence
 
 # circuit_basis stays importable here: bench/worker.py traces randomisation.circuit_basis
 from .circuits import binary_circuit_vectors, circuit_basis  # noqa: F401
@@ -47,7 +48,7 @@ class RandomisationSystem:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(map(int, b)) for b in self.blocks)
+        blocks = tuple(tuple(map(index, b)) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         for b in blocks:
             if len(b) < 2:
@@ -64,7 +65,7 @@ class RandomisationSystem:
     def from_blocks(cls, n_runs: int, blocks: Iterable[Iterable[int]]) -> "RandomisationSystem":
         """Canonicalise and validate an arbitrary collection of blocks."""
         norm = sorted(
-            (tuple(sorted(int(i) for i in b)) for b in blocks),
+            (tuple(sorted(map(index, b))) for b in blocks),
             key=lambda b: (len(b), b[0] if b else -1),
         )
         return cls(n_runs=n_runs, blocks=tuple(norm))
@@ -91,23 +92,36 @@ class RandomisationSystem:
 class SchemeCatalog:
     """All valid circuit-based randomisation systems of one contrast model.
 
-    ``shape_counts`` maps the multiset of block sizes (descending tuple) to
-    the number of systems with that shape.  ``refinement_edges`` lists the
-    covering pairs ``(coarser_index, finer_index)`` of the refinement order
-    on ``systems``.  It is written down, not searched for: distinct
-    circuit-based systems never refine one another (a block inside another
-    block of a cover by inclusion-minimal supports is that block), so the
-    edges are ``(full, j)`` for every other system ``j`` when the
-    single-block full randomisation is included, and none otherwise.
+    ``shape_counts`` and ``refinement_edges`` are derived from ``systems``
+    each time they are read, so a listing that prints neither pays for
+    neither.
     """
 
     model: ContrastModel
     systems: tuple[RandomisationSystem, ...]
-    shape_counts: Mapping[tuple[int, ...], int] = field(compare=False)
-    refinement_edges: tuple[tuple[int, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.systems)
+
+    @property
+    def shape_counts(self) -> dict[tuple[int, ...], int]:
+        """Systems per multiset of block sizes, shapes descending."""
+        return dict(sorted(Counter(s.shape for s in self.systems).items(), reverse=True))
+
+    @property
+    def refinement_edges(self) -> tuple[tuple[int, int], ...]:
+        """Covering pairs ``(coarser_index, finer_index)`` of refinement.
+
+        Written down, not searched for: distinct circuit-based systems never
+        refine one another (a block inside another block of a cover by
+        inclusion-minimal supports is that block), so the edges are
+        ``(full, j)`` for every other system ``j`` when the single-block
+        full randomisation sits at ``full``, and none otherwise.
+        """
+        for at, s in enumerate(self.systems):
+            if len(s.blocks) == 1:
+                return tuple((at, j) for j in range(len(self.systems)) if j != at)
+        return ()
 
 
 def _block_violation(
@@ -230,20 +244,10 @@ def enumerate_circuit_randomisations(
     ]
     supports = [s for s in supports if 2 <= len(s) < n]
     systems = _cover_systems(n, supports) if n else []
-    edges: tuple[tuple[int, int], ...] = ()
     if include_full and n >= 2:
-        full = RandomisationSystem.from_blocks(n, [range(n)])
-        systems.append(full)
+        systems.append(RandomisationSystem(n, (tuple(range(n)),)))
         systems.sort(key=lambda s: s.blocks)
-        at = systems.index(full)
-        edges = tuple((at, j) for j in range(len(systems)) if j != at)
-    shape_counts = Counter(s.shape for s in systems)
-    return SchemeCatalog(
-        model=model,
-        systems=tuple(systems),
-        shape_counts=dict(sorted(shape_counts.items(), reverse=True)),
-        refinement_edges=edges,
-    )
+    return SchemeCatalog(model=model, systems=tuple(systems))
 
 
 def is_decomposable(model: ContrastModel, v: Sequence[int]) -> bool:
@@ -256,7 +260,7 @@ def is_decomposable(model: ContrastModel, v: Sequence[int]) -> bool:
     circuit leaves another randomisation vector, so ``v`` is a sum of
     randomisation vectors with smaller supports.
     """
-    w = tuple(int(x) for x in v)
+    w = tuple(map(index, v))
     if len(w) != model.n_runs:
         raise DimensionMismatchError("vector length does not match the model")
     if any(x not in (0, 1) for x in w):

@@ -1,8 +1,9 @@
 """Total unimodularity and directed graph incidence matrices.
 
 A matrix is totally unimodular when every square submatrix has determinant
--1, 0 or 1.  For such contrast matrices every randomisation vector is a sum
-of binary circuits, so the circuit-based catalog of randomisation systems is
+-1, 0 or 1; it is tested here by signing sets of rows, not by determinants.
+For such contrast matrices every randomisation vector is a sum of binary
+circuits, so the circuit-based catalog of randomisation systems is
 complete.  Incidence matrices of directed graphs are the standard source of
 totally unimodular examples; their circuits with constant sign correspond to
 closed walks, which exist in abundance exactly when the graph is Eulerian
@@ -14,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import add, index, sub
 from typing import Iterable
 
 from .exact_linalg import IntMatrix
 
 
 class TooLargeError(ValueError):
-    """The brute-force submatrix budget was exceeded."""
+    """The square-submatrix budget was exceeded."""
 
     def __init__(self, count: int, size_cap: int):
         super().__init__(
@@ -42,7 +44,7 @@ class DirectedGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        edges = tuple((int(t), int(h)) for t, h in self.edges)
+        edges = tuple((index(t), index(h)) for t, h in self.edges)
         object.__setattr__(self, "edges", edges)
         if self.n_vertices < 0:
             raise ValueError("vertex count must be non-negative")
@@ -54,7 +56,7 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n_vertices: int | None = None) -> "DirectedGraph":
-        es = tuple((int(t), int(h)) for t, h in edges)
+        es = tuple((index(t), index(h)) for t, h in edges)
         if n_vertices is None:
             n_vertices = 1 + max((max(t, h) for t, h in es), default=-1)
         return cls(n_vertices=n_vertices, edges=es)
@@ -94,41 +96,30 @@ DEFAULT_SIZE_CAP = 1_000_000
 
 
 def is_totally_unimodular(a: IntMatrix, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
-    """Brute-force total unimodularity test.
+    """Total unimodularity by Ghouila-Houri's signing criterion.
 
-    Checks that every square submatrix determinant lies in {-1, 0, 1},
-    expanding determinants size by size so each layer reuses the minors of
-    the previous one.  The number of square submatrices is computed first
-    and :class:`TooLargeError` is raised when it exceeds ``size_cap``; the
-    test itself exits at the first offending submatrix.
+    A {-1, 0, 1} matrix is totally unimodular exactly when every set of its
+    rows can be signed so that their sum has entries in {-1, 0, 1}
+    (Ghouila-Houri 1962; Schrijver, *Theory of Linear and Integer
+    Programming*, 1986, Thm 19.3).  Since a matrix and its transpose are
+    totally unimodular together, the scan runs over the shorter side and,
+    for each set of at least two lines, over the signings that keep its
+    first line positive.  The budget is still counted in square
+    submatrices, ``comb(m + n, m) - 1`` of them by Vandermonde's identity,
+    and :class:`TooLargeError` is raised when that exceeds ``size_cap``.
     """
     n_rows, n_cols = a.n_rows, a.n_cols
     if any(x not in (-1, 0, 1) for row in a.rows for x in row):
         return False
-    k_max = min(n_rows, n_cols)
-    total = sum(comb(n_rows, k) * comb(n_cols, k) for k in range(1, k_max + 1))
+    total = comb(n_rows + n_cols, n_rows) - 1
     if total > size_cap:
         raise TooLargeError(total, size_cap)
-
-    # 1x1 entries are already checked; build larger minors layer by layer.
-    prev: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {
-        ((i,), (j,)): a.rows[i][j] for i in range(n_rows) for j in range(n_cols)
-    }
-    for k in range(2, k_max + 1):
-        cur: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for rows in combinations(range(n_rows), k):
-            first, rest = rows[0], rows[1:]
-            for cols in combinations(range(n_cols), k):
-                det = 0
-                sign = 1
-                for idx, c in enumerate(cols):
-                    coeff = a.rows[first][c]
-                    if coeff:
-                        minor = prev[(rest, cols[:idx] + cols[idx + 1 :])]
-                        det += sign * coeff * minor
-                    sign = -sign
-                if det not in (-1, 0, 1):
-                    return False
-                cur[(rows, cols)] = det
-        prev = cur
+    lines = a.rows if n_rows <= n_cols else tuple(a.columns())
+    for k in range(2, len(lines) + 1):
+        for first, *rest in combinations(lines, k):
+            sums = {first}  # signings that reach the same partial sum count once
+            for line in rest:
+                sums = {tuple(map(op, s, line)) for s in sums for op in (add, sub)}
+            if not any(all(-1 <= x <= 1 for x in s) for s in sums):
+                return False
     return True

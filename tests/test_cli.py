@@ -308,6 +308,26 @@ def test_tu_verdicts(capsys, contrast_file, tmp_path):
     assert (code, out.strip()) == (0, "totally unimodular: yes")
 
 
+def test_closed_stdout_exits_quietly(tmp_path, capsys):
+    design = tmp_path / "f4.txt"
+    assert cli.main(["catalog", "factorial", "--k", "4", "-o", str(design)]) == 0
+    capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "circuitrand.cli", "randomise", str(design), "--enumerate"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    assert done.stderr == ""
+
+
 def test_tu_budget(capsys, contrast_file):
     code, out, err = run(capsys, ["tu", contrast_file, "--cap", "3"])
     assert code == 5

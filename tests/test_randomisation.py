@@ -85,6 +85,12 @@ def test_system_validation():
         RandomisationSystem(5, ((1, 0), (2, 3)))
     with pytest.raises(ValueError, match=partition):
         RandomisationSystem(5, ((2, 3), (0, 1)))
+    # runs are read as integers, never truncated or parsed
+    for blocks in (((0, 1.9), (2, 3)), ((0, 1.0), (2, 3)), (("0", "1"), (2, 3))):
+        with pytest.raises(TypeError):
+            RandomisationSystem(4, blocks)
+        with pytest.raises(TypeError):
+            RandomisationSystem.from_blocks(4, blocks)
 
 
 def test_from_blocks_canonicalises_order():
@@ -143,6 +149,25 @@ def test_enumeration_include_full(model_2cubed):
     assert shape_edges == {((8,), (4, 4)), ((8,), (2, 2, 2, 2))}
     for coarser, finer in catalog.refinement_edges:
         assert refines(catalog.systems[finer], catalog.systems[coarser])
+
+
+def test_shapes_are_sorted_only_when_read(model_2fourth, monkeypatch):
+    calls = []
+    shape = RandomisationSystem.shape
+
+    def counted(self):
+        calls.append(self)
+        return shape.fget(self)
+
+    monkeypatch.setattr(RandomisationSystem, "shape", property(counted))
+    catalog = enumerate_circuit_randomisations(model_2fourth, include_full=True)
+    at = next(i for i, s in enumerate(catalog.systems) if len(s.blocks) == 1)
+    assert catalog.refinement_edges == tuple((at, j) for j in range(len(catalog)) if j != at)
+    assert calls == []
+    counts = catalog.shape_counts
+    assert len(calls) == len(catalog)
+    assert sum(counts.values()) == len(catalog)
+    assert list(counts) == sorted(counts, reverse=True)
 
 
 def test_catalog_equals_partition_brute_force(model_2cubed):
@@ -297,3 +322,7 @@ def test_is_decomposable_input_checks(model_2cubed):
         is_decomposable(model_2cubed, [0] * 8)
     with pytest.raises(DimensionMismatchError):
         is_decomposable(model_2cubed, [1, 1])
+    with pytest.raises(TypeError):
+        is_decomposable(model_2cubed, [1.0, 0, 0, 0, 0, 0, 0, 1])
+    with pytest.raises(TypeError):
+        is_decomposable(model_2cubed, ["1", 0, 0, 0, 0, 0, 0, 1])

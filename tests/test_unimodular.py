@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -31,6 +33,14 @@ def brute_tu(m: IntMatrix) -> bool:
 def test_directed_graph_rejects_self_loops():
     with pytest.raises(ValueError):
         DirectedGraph.from_edges([(0, 0)], 1)
+
+
+@pytest.mark.parametrize("edge", [(0, 1.9), (0.0, 1), ("0", 1)])
+def test_directed_graph_rejects_non_integer_endpoints(edge):
+    with pytest.raises(TypeError):
+        DirectedGraph.from_edges([edge], 2)
+    with pytest.raises(TypeError):
+        DirectedGraph(2, (edge,))
 
 
 def test_degrees_and_balance():
@@ -71,13 +81,45 @@ def test_entries_outside_unit_range_fail_fast():
 
 
 def test_tu_matches_brute_force_on_random_matrices():
+    # shapes 0..5 x 0..6, so tall matrices send the scan to the columns
     rng = random.Random(99)
-    for _ in range(40):
-        n_rows = rng.randint(1, 4)
-        n_cols = rng.randint(1, 4)
-        rows = [[rng.choice((-1, 0, 1)) for _ in range(n_cols)] for _ in range(n_rows)]
+    verdicts = []
+    for _ in range(400):
+        n_rows = rng.randint(0, 5)
+        n_cols = rng.randint(0, 6)
+        zero_share = rng.choice((0.3, 0.5, 0.7))
+        rows = [
+            [0 if rng.random() < zero_share else rng.choice((-1, 1)) for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ]
         m = IntMatrix.from_rows(rows, n_cols=n_cols)
-        assert is_totally_unimodular(m) == brute_tu(m)
+        verdicts.append(is_totally_unimodular(m))
+        assert verdicts[-1] == brute_tu(m), rows
+    assert 50 < sum(verdicts) < 350
+
+
+def random_incidence(rng: random.Random, n_vertices: int, n_edges: int) -> IntMatrix:
+    edges = [tuple(rng.sample(range(n_vertices), 2)) for _ in range(n_edges)]
+    return incidence_matrix(DirectedGraph.from_edges(edges, n_vertices))
+
+
+def test_tu_on_digraph_incidences_and_one_sign_flips():
+    rng = random.Random(5)
+    flipped_tu = []
+    for _ in range(150):
+        m = random_incidence(rng, rng.randint(2, 5), rng.randint(1, 7))
+        assert is_totally_unimodular(m)
+        assert is_totally_unimodular(m.transpose())
+        rows = [list(r) for r in m.rows]
+        i, j = rng.randrange(m.n_rows), rng.randrange(m.n_cols)
+        while not rows[i][j]:
+            i = rng.randrange(m.n_rows)
+        rows[i][j] = -rows[i][j]
+        flipped = IntMatrix.from_rows(rows, n_cols=m.n_cols)
+        flipped_tu.append(brute_tu(flipped))
+        assert is_totally_unimodular(flipped) == flipped_tu[-1]
+        assert is_totally_unimodular(flipped.transpose()) == flipped_tu[-1]
+    assert 10 < sum(flipped_tu) < 140
 
 
 def test_budget_refusal():
@@ -87,3 +129,23 @@ def test_budget_refusal():
     assert info.value.size_cap == 10
     assert info.value.count > 10
     assert DEFAULT_SIZE_CAP == 1_000_000
+    for n_rows in range(13):
+        for n_cols in range(13):
+            count = sum(comb(n_rows, k) * comb(n_cols, k) for k in range(1, min(n_rows, n_cols) + 1))
+            m = IntMatrix.from_rows([[0] * n_cols] * n_rows, n_cols=n_cols)
+            if count:
+                with pytest.raises(TooLargeError) as info:
+                    is_totally_unimodular(m, size_cap=count - 1)
+                assert info.value.count == count
+            assert is_totally_unimodular(m, size_cap=count)
+    with pytest.raises(TooLargeError) as info:
+        is_totally_unimodular(IntMatrix.identity(12))
+    assert info.value.count == 2_704_155
+
+
+def test_tu_of_a_long_incidence_matrix_inside_the_default_budget():
+    m = random_incidence(random.Random(7), 7, 20)
+    assert comb(27, 7) - 1 == 888_029 <= DEFAULT_SIZE_CAP
+    start = time.perf_counter()
+    assert is_totally_unimodular(m)
+    assert time.perf_counter() - start < 0.5
