@@ -13,8 +13,10 @@ vectors, in particular all block randomisation indicators, are built.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .exact_linalg import IntMatrix, _reduce, canonical_sign, rank
@@ -102,26 +104,65 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
     all of that set, so each circuit is found once, through its largest
     index.  The column then depends on every larger set too, where its
     kernel vector is zero on the added columns, so it leaves the subtree.
-    Each ``(I, j)`` pair costs one reduction by one row, and the search is
-    at most ``rank(a)`` deep.
+    The search is at most ``rank(a)`` deep, and two rules keep it from
+    visiting nodes that hold no circuit:
+
+    - One column short of full rank, the quotient of the column space by
+      the span of ``I`` is a line, so every pending remainder is a
+      multiple of one direction and all share one pivot ``p``.  Each
+      pair ``c < l`` of pending columns then closes exactly one
+      dependency, ``w_c[p] * w_l - w_l[p] * w_c``, which is a circuit
+      exactly when it is nonzero on every slot of ``I``.  These pairs are
+      closed directly, with no node and no reduction per child; a rank-one
+      matrix takes this path at the root.
+    - Every vector formed below a node is an integer combination
+      ``sum(z_p * w_p)`` of its pending columns, so its coefficient on the
+      ``k``-th column of ``I`` is ``sum(z_p * s_pk)`` over their unit
+      parts.  A circuit found below is nonzero there, so the search enters
+      a node only when some pending column is nonzero in each slot of
+      ``I``, and only when it has two pending columns, one to choose and
+      one to close a dependency.
+
+    Each ``(I, j)`` pair above the last level costs one reduction by one
+    row.
     """
     m, n = a.n_rows, a.n_cols
-    # I has at most min(m, n) columns, plus the slot of the column itself
-    width = min(m, n) + 1
-    own = (0,) * (width - 1) + (1,)
+    depth = rank(a)
+    # I has at most depth columns, plus the slot of the column itself
+    own = (0,) * depth + (1,)
     chosen: list[int] = []
     vectors: list[tuple[int, ...]] = []
 
+    def emit(support: Sequence[int], coefficients: Sequence[int]) -> None:
+        u = [0] * n
+        for i, x in zip(support, coefficients):
+            u[i] = x
+        vectors.append(canonical_sign(u))
+
     def close(j: int, v: tuple[int, ...]) -> None:
         # v is zero in its first m entries: a kernel vector on chosen + {j}
-        if m + width - v.count(0) == len(chosen) + 1:
-            u = [0] * n
-            for i, x in zip(chosen, v[m:]):
-                u[i] = x
-            u[j] = v[-1]
-            vectors.append(canonical_sign(u))
+        if len(v) - v.count(0) == len(chosen) + 1:
+            emit((*chosen, j), (*v[m : m + len(chosen)], v[-1]))
+
+    def close_pairs(pending: list) -> None:
+        slots = slice(m, m + len(chosen))
+        p = pending[0][1][0]
+        parts = [(j, v[p], v[slots], v[-1]) for j, (_, v) in pending]
+        for k, (c, f_c, s_c, o_c) in enumerate(parts):
+            for l, f_l, s_l, o_l in parts[k + 1 :]:
+                # f_c * w_l - f_l * w_c on the slots of chosen, then c and l
+                u = [f_c * y - f_l * x for x, y in zip(s_c, s_l)]
+                if all(u):
+                    u += (-f_l * o_c, f_c * o_l)
+                    g = gcd(*u)
+                    emit((*chosen, c, l), [x // g for x in u])
 
     def search(pending: list) -> None:
+        # pending is never empty here: at rank one the root holds a nonzero
+        # column, and a node is entered only with two
+        if len(chosen) + 1 == depth:
+            close_pairs(pending)
+            return
         slot = m + len(chosen)
         for k, (j, (pivot, v)) in enumerate(pending):
             row = [*v[:-1], 0]
@@ -138,7 +179,11 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
                         close(later, reduced[1])
                         continue
                 children.append((later, reduced))
-            search(children)
+            # does some child have a nonzero entry in every slot of chosen?
+            if len(children) > 1 and all(
+                map(any, zip(*[w[m : slot + 1] for _, (_, w) in children]))
+            ):
+                search(children)
             chosen.pop()
 
     pending = []
@@ -270,10 +315,11 @@ def conformal_decompose(
     a = basis.matrix
     if len(v) != a.n_cols:
         raise ValueError("vector length does not match the matrix column count")
-    if any(a.mul_vector(tuple(int(x) for x in v))):
+    v = tuple(map(operator.index, v))
+    if any(a.mul_vector(v)):
         raise NotInKernelError("vector is not in the kernel of the matrix")
 
-    remainder = [Fraction(int(x)) for x in v]
+    remainder = list(map(Fraction, v))
     terms: list[tuple[Fraction, Circuit]] = []
     while any(remainder):
         aligned: Circuit | None = None

@@ -32,7 +32,7 @@ from .analysis_sim import (
     naive_block_bias,
     simulate_ab,
 )
-from .circuits import binary_circuits, circuit_basis, nonnegative_circuits
+from .circuits import circuit_basis, nonnegative_circuits
 from .contrast import (
     ContrastModel,
     DesignModel,
@@ -310,12 +310,13 @@ def cmd_circuits(args: argparse.Namespace) -> int:
         records["nonnegative"] = len(nonneg)
         listed = nonneg
     if args.binary:
-        binary = binary_circuits(basis)
+        binary = [c for c in nonneg if c.is_binary()]
         summary += f" binary={len(binary)}"
         records["binary"] = len(binary)
         listed = binary
     lines = [" ".join(str(x) for x in c.vector) for c in listed]
-    records["vectors"] = [list(c.vector) for c in listed]
+    if args.format == "records":
+        records["vectors"] = [list(c.vector) for c in listed]
     _emit(args, lines + [summary], records)
     return EXIT_OK
 

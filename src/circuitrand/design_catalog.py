@@ -9,6 +9,7 @@ over a two-way layout rather than as designs of their own.
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass
 from itertools import combinations
@@ -128,7 +129,7 @@ class LatinSquare:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(tuple(int(x) for x in row) for row in self.cells)
+        cells = tuple(tuple(map(operator.index, row)) for row in self.cells)
         object.__setattr__(self, "cells", cells)
         n = len(cells)
         want = set(range(n))

@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +111,44 @@ def test_circuit_basis_matches_oracle_on_related_columns(drawn):
     assert basis.vectors() == oracles.brute_circuit_vectors(rows, n_cols)
 
 
+@st.composite
+def matrices_below_full_row_rank(draw):
+    """``matrices_with_related_columns`` plus one row that sums some of the others."""
+    rows, n_cols = draw(matrices_with_related_columns())
+    picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=len(rows)))
+    return rows + [[sum(col) for col in zip(*picked)]], n_cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_below_full_row_rank())
+def test_circuit_basis_matches_oracle_below_full_row_rank(drawn):
+    rows, n_cols = drawn
+    basis = circuit_basis(IntMatrix.from_rows(rows, n_cols=n_cols))
+    assert basis.vectors() == oracles.brute_circuit_vectors(rows, n_cols)
+
+
+@st.composite
+def rank_one_matrices(draw):
+    """Outer products ``x y^T`` whose factors have zero entries.
+
+    The rank is one unless a factor is all zero, so the search closes its
+    circuits in pairs at the root.
+    """
+    entry = st.sampled_from([0, 0, 1, -1, 2, -3])
+    x = draw(st.lists(entry, min_size=1, max_size=3))
+    y = draw(st.lists(entry, min_size=1, max_size=7))
+    return [[s * t for t in y] for s in x], len(y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_one_matrices())
+@example(([[0, 2, -1, 0, 3, 1], [0, -4, 2, 0, -6, -2]], 6))
+def test_circuit_basis_matches_oracle_on_rank_one_matrices(drawn):
+    rows, n_cols = drawn
+    basis = circuit_basis(IntMatrix.from_rows(rows, n_cols=n_cols))
+    assert basis.vectors() == oracles.brute_circuit_vectors(rows, n_cols)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_circuit_basis_is_equivariant_under_column_permutation(data):
@@ -182,6 +221,25 @@ def test_each_reduction_takes_at_most_one_row(monkeypatch):
         assert binary_circuit_vectors(ct) == [c.vector for c in binary_circuits(basis)]
     assert rows_per_call
     assert max(rows_per_call) <= 1
+
+
+def test_complete_graph_basis_skips_nodes_that_hold_no_circuit(monkeypatch):
+    # the circuits of K7 are its cycles: C(7, k) vertex sets of size k, each
+    # carrying (k - 1)! / 2 cycles.  Making every pending column a node and
+    # entering every subtree takes 41,827 reductions here; closing the last
+    # level in pairs and skipping dead subtrees takes 8,853
+    calls = []
+    reduce = circuits._reduce
+
+    def counting(v, echelon):
+        calls.append(None)
+        return reduce(v, echelon)
+
+    monkeypatch.setattr(circuits, "_reduce", counting)
+    edges = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    basis = circuit_basis(incidence_matrix(DirectedGraph.from_edges(edges, 7)))
+    assert len(basis) == sum(comb(7, k) * factorial(k - 1) // 2 for k in range(3, 8)) == 1172
+    assert len(calls) <= 10_000
 
 
 @st.composite
@@ -297,6 +355,17 @@ def test_conformal_decomposition_of_indicator():
         (Fraction(1), (0, 0, 0, 1, 1, 0, 0, 0)),
         (Fraction(2), (1, 0, 0, 0, 0, 0, 0, 1)),
     ]
+
+
+def test_conformal_decompose_rejects_non_integer_entries():
+    basis = circuit_basis(IntMatrix.from_rows([[1, 1, 1, 1]]))
+    assert [(w, c.vector) for w, c in conformal_decompose((1, 0, -1, 0), basis)] == [
+        (Fraction(1), (1, 0, -1, 0))
+    ]
+    # read exactly, never truncated to (1, 0, -1, 0) or to zero
+    for v in ((1.9, 0, -1.9, 0), (Fraction(1, 2), 0, Fraction(-1, 2), 0)):
+        with pytest.raises(TypeError):
+            conformal_decompose(v, basis)
 
 
 def test_conformal_decompose_rejects_non_kernel_vectors():

@@ -87,6 +87,12 @@ def test_latin_square_from_text():
         LatinSquare.from_text("A B\nA B")
 
 
+def test_latin_square_rejects_non_integer_cells():
+    # int() would truncate this to the valid square ((0, 1), (1, 0))
+    with pytest.raises(TypeError):
+        LatinSquare(((0.7, 1), (1, 0.2)))
+
+
 def test_latin_square_blocks_match_symbols():
     l1, l2 = mols_order3()
     b1 = latin_square_blocks(l1)
