@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Sequence
 
@@ -45,7 +46,15 @@ class Circuit:
 
     @classmethod
     def from_vector(cls, vector: Sequence[int]) -> "Circuit":
-        return cls(tuple(map(int, vector)))
+        """A circuit from integral entries; ``1.0`` reads as ``1``, ``1.9`` raises."""
+        vector = tuple(vector)
+        try:
+            entries = tuple(map(int, vector))
+        except (OverflowError, ValueError) as exc:
+            raise ValueError("circuit entries must be integers") from exc
+        if entries != vector:
+            raise ValueError("circuit entries must be integers")
+        return cls(entries)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -215,23 +224,52 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
     column short of full rank reduces only the columns that close a
     circuit.  Each node looks ``-sum(I)`` up among the columns, so every
     circuit is found once, through its largest index, and the empty ``I``
-    finds the zero columns.  Columns are keyed by their digits in a
-    balanced base wide enough for any sum of ``rank(a)`` columns, so the
-    key is linear and the running sum costs one integer add per child.
+    finds the zero columns.
+
+    A column is keyed by packing it into one integer of ``W``-bit fields:
+    row ``r`` goes in field ``r`` and its negation in field ``m + r``, ``m``
+    the row count.  The key is linear, so the running sum costs one integer
+    add per child and ``-sum(I)`` is looked up as one integer.  It also
+    bounds every row at once.  Below a node that has just chosen ``j``,
+    with ``k`` columns chosen and packed sum ``K``, a circuit adds at most
+    ``t = rank(a) + 1 - k`` columns past ``j``, and they sum to ``-K``.  So
+    each row needs ``K_r + hi_r >= 0`` and ``-K_r - lo_r >= 0``, where
+    ``hi_r`` and ``lo_r`` are the largest and smallest sums of at most
+    ``t`` entries of row ``r`` among the columns ``s = j + 1`` onwards.
+    ``reach[s][t]`` packs ``hi_r`` in field ``r`` and ``-lo_r`` in field
+    ``m + r``, plus ``guard``, the top bit of every field, so each field of
+    ``K + reach[s][t]`` holds one of those differences biased by
+    ``2**(W - 1)``.  A node reduces its children only when
+    ``(K + reach[j + 1][t]) & guard == guard``: one add and one mask test
+    every row from both sides.  The test runs one column short of full
+    rank too, where a cut saves a look-up per child.
+
+    The width makes the test exact.  Every field of a sum formed above,
+    keys included, lies within ``M = (rank(a) + 1) * max|a|`` of zero, and
+    ``W = (2 * M + 1).bit_length() + 1`` keeps it below ``2**(W - 2)`` in
+    magnitude.  Biased by ``2**(W - 1)``, such a field stays inside
+    ``[0, 2**W)``, so no field borrows from or carries into the next, the
+    packing is unique, and the top bit of a biased field is set exactly
+    when the field is nonnegative.
+
     The vectors come back in ascending lexicographic order: the list
     ``[c.vector for c in binary_circuits(circuit_basis(a))]``.
     """
-    n = a.n_cols
+    m, n = a.n_rows, a.n_cols
     cols = a.columns()
     depth = rank(a)
-    # sums of up to depth columns have entries in [-half, half], where these
-    # balanced base-(2 * half + 1) digits are unique
-    half = max(depth, 1) * max((abs(x) for col in cols for x in col), default=0)
-    base = 2 * half + 1
-    keys = [sum(x * base**r for r, x in enumerate(col)) for col in cols]
+    big = max((abs(x) for col in cols for x in col), default=0)
+    width = (2 * (depth + 1) * big + 1).bit_length() + 1
+    shifts = [width * f for f in range(2 * m)]
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    keys = []
+    for col in cols:
+        packed = sum(x << s for x, s in zip(col, shifts))
+        keys.append(packed - (packed << (width * m)))
     where: dict[int, list[int]] = {}
     for j, key in enumerate(keys):
         where.setdefault(-key, []).append(j)
+    reach = _reach(cols, shifts, depth, guard)
     chosen: list[int] = []
     vectors: list[tuple[int, ...]] = []
 
@@ -248,9 +286,10 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
             for c in where.get(grown, ()):
                 if c > j:
                     emit(c)
-            if len(chosen) < depth:
+            t = depth + 1 - len(chosen)
+            if t > 1 and (grown + reach[j + 1][t]) & guard == guard:
                 step = [(pivot, v)]
-                last = len(chosen) + 1 == depth
+                last = t == 2
                 children = []
                 for later, reduced in pending[k + 1 :]:
                     # a full-rank child has no children, so unless it closes
@@ -276,6 +315,44 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
     search(0, pending)
     vectors.sort()
     return vectors
+
+
+def _reach(
+    cols: Sequence[tuple[int, ...]], shifts: Sequence[int], depth: int, guard: int
+) -> list[list[int]]:
+    """``reach[s][t]`` of :func:`binary_circuit_vectors` for ``t <= depth``.
+
+    Field ``r`` of a column holds its row ``r`` entry, field ``m + r`` the
+    negated entry.  Scanning the columns from the right, each field keeps
+    the ``depth`` largest positive values it has seen, descending and
+    padded with zeros, and ``packed[i]`` packs the ``i``-th of every field,
+    so the running sums of ``packed`` give the bounds for every ``t`` at
+    once.  A column that changes no field shares the previous entry.
+    """
+    m = len(shifts) // 2
+    tops = [[0] * depth for _ in shifts]
+    packed = [0] * depth
+    sums = list(accumulate(packed, initial=guard))
+    reach = [sums]
+    for col in reversed(cols):
+        changed = False
+        for f, x in enumerate(col):
+            if x < 0:
+                f, x = m + f, -x
+            elif not x:
+                continue
+            top = tops[f]
+            if x > top[-1]:
+                changed = True
+                for i in range(depth):
+                    if top[i] < x:
+                        packed[i] += (x - top[i]) << shifts[f]
+                        top[i], x = x, top[i]
+        if changed:
+            sums = list(accumulate(packed, initial=guard))
+        reach.append(sums)
+    reach.reverse()
+    return reach
 
 
 def nonnegative_circuits(basis: CircuitBasis) -> list[Circuit]:

@@ -2,7 +2,8 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial
+from itertools import permutations
+from math import comb, factorial, inf, nan
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,6 +50,14 @@ def test_circuit_from_vector():
     assert type(Circuit.from_vector([1.0, 0]).vector[0]) is int
 
 
+def test_circuit_from_vector_rejects_non_integral_entries():
+    assert Circuit.from_vector([Fraction(4, 2), -3.0]).vector == (2, -3)
+    # read exactly, never truncated to (1, 0, -1)
+    for v in ((1.9, 0, -1.9), (0.5, 1), (Fraction(1, 2), 1), (inf, 1), (nan, 1)):
+        with pytest.raises(ValueError, match="integers"):
+            Circuit.from_vector(v)
+
+
 def test_zero_circuit_rejected():
     with pytest.raises(ValueError, match="nonzero"):
         Circuit((0, 0))
@@ -91,7 +100,8 @@ def matrices_with_related_columns(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices_with_related_columns())
-# cols 0 and 1 sum to (3, 1), whose base-5 digits equal those of -col 2
+# cols 0 and 1 sum to (3, 1), beyond max|a| = 2: the packed key's fields
+# are sized for sums of columns, not for single entries
 @example(([[2, 1, 2], [0, 1, -2]], 3))
 def test_binary_circuit_search_matches_basis_and_oracle(drawn):
     rows, n_cols = drawn
@@ -99,6 +109,50 @@ def test_binary_circuit_search_matches_basis_and_oracle(drawn):
     vectors = binary_circuit_vectors(m)
     assert vectors == [c.vector for c in binary_circuits(circuit_basis(m))]
     assert vectors == sorted(set(vectors))
+    brute = oracles.brute_circuit_vectors(rows, n_cols)
+    assert vectors == [v for v in brute if set(v) <= {0, 1}]
+
+
+@st.composite
+def matrices_closing_at_the_field_limit(draw):
+    """Matrices with entries in -4..4 and a column of +-4 entries that closes.
+
+    Up to four columns add up to the negation of a closing column whose
+    entries are all 4 or -4, and most entries are 4 or -4, so the running
+    sums and row bounds of the search reach ``(rank + 1) * 4``, the largest
+    value a field of the packed key must hold.  A few more columns of
+    entries in -4..4 ride along.
+    """
+    n_rows = draw(st.integers(1, 4))
+    parts = draw(st.integers(1, 4))
+    closing = draw(st.lists(st.sampled_from([-4, 4]), min_size=n_rows, max_size=n_rows))
+    split = []
+    for target in closing:
+        # parts entries in -4..4 that sum to -target, mostly at an end of
+        # the range that keeps the sum reachable
+        remaining = -target
+        row = []
+        for left in range(parts - 1, 0, -1):
+            lo, hi = max(-4, remaining - 4 * left), min(4, remaining + 4 * left)
+            x = draw(st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi)))
+            row.append(x)
+            remaining -= x
+        split.append(row + [remaining])
+    cols = [list(c) for c in zip(*split)] + [closing]
+    entry = st.one_of(st.sampled_from([-4, 4]), st.integers(-4, 4))
+    cols += draw(st.lists(st.lists(entry, min_size=n_rows, max_size=n_rows), max_size=4))
+    cols = draw(st.permutations(cols))
+    return [[c[r] for c in cols] for r in range(n_rows)], len(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_closing_at_the_field_limit())
+# below the first node row 0 can still fall by 8, a field value that needs
+# 5-bit fields; with one bit fewer both circuits are lost
+@example(([[0, 4, -4, -4], [4, 0, -4, -4]], 4))
+def test_binary_circuit_search_matches_oracle_at_the_field_limit(drawn):
+    rows, n_cols = drawn
+    vectors = binary_circuit_vectors(IntMatrix.from_rows(rows, n_cols=n_cols))
     brute = oracles.brute_circuit_vectors(rows, n_cols)
     assert vectors == [v for v in brute if set(v) <= {0, 1}]
 
@@ -223,11 +277,7 @@ def test_each_reduction_takes_at_most_one_row(monkeypatch):
     assert max(rows_per_call) <= 1
 
 
-def test_complete_graph_basis_skips_nodes_that_hold_no_circuit(monkeypatch):
-    # the circuits of K7 are its cycles: C(7, k) vertex sets of size k, each
-    # carrying (k - 1)! / 2 cycles.  Making every pending column a node and
-    # entering every subtree takes 41,827 reductions here; closing the last
-    # level in pairs and skipping dead subtrees takes 8,853
+def _counted_reductions(monkeypatch) -> list:
     calls = []
     reduce = circuits._reduce
 
@@ -236,10 +286,49 @@ def test_complete_graph_basis_skips_nodes_that_hold_no_circuit(monkeypatch):
         return reduce(v, echelon)
 
     monkeypatch.setattr(circuits, "_reduce", counting)
+    return calls
+
+
+def test_complete_graph_basis_skips_nodes_that_hold_no_circuit(monkeypatch):
+    # the circuits of K7 are its cycles: C(7, k) vertex sets of size k, each
+    # carrying (k - 1)! / 2 cycles.  Making every pending column a node and
+    # entering every subtree takes 41,827 reductions here; closing the last
+    # level in pairs and skipping dead subtrees takes 8,853
+    calls = _counted_reductions(monkeypatch)
     edges = [(i, j) for i in range(7) for j in range(i + 1, 7)]
     basis = circuit_basis(incidence_matrix(DirectedGraph.from_edges(edges, 7)))
     assert len(basis) == sum(comb(7, k) * factorial(k - 1) // 2 for k in range(3, 8)) == 1172
     assert len(calls) <= 10_000
+
+
+def _permutation_matrices(size: int) -> list[tuple[int, ...]]:
+    """The cells of every permutation matrix, as row-major 0/1 vectors."""
+    return sorted(
+        tuple(int(p[i] == j) for i in range(size) for j in range(size))
+        for p in permutations(range(size))
+    )
+
+
+@pytest.mark.parametrize("size, bound", [(4, 600), (5, 5_000)])
+def test_anova_binary_search_cuts_unreachable_rows(monkeypatch, size, bound):
+    # the binary circuits of anova IxI are the I! permutation matrices.
+    # Reducing every independent set of up to rank - 1 columns takes 5,816
+    # reductions at 4x4 and 542,442 at 5x5; cutting the nodes where some row
+    # of -sum(I) is out of reach takes 370 and 2,735
+    calls = _counted_reductions(monkeypatch)
+    ct = to_contrast_form(anova_two_way(size, size)).contrast.transpose()
+    assert binary_circuit_vectors(ct) == _permutation_matrices(size)
+    assert len(calls) <= bound
+
+
+def test_anova_six_by_six_binary_circuits():
+    ct = to_contrast_form(anova_two_way(6, 6)).contrast.transpose()
+    start = time.perf_counter()
+    vectors = binary_circuit_vectors(ct)
+    elapsed = time.perf_counter() - start
+    assert len(vectors) == 720
+    assert vectors == _permutation_matrices(6)
+    assert elapsed < 2
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -238,6 +239,22 @@ def test_randomise_shapes_and_lattice(capsys, design_file):
     assert "4+4 1" in out
     assert "2+2+2+2 1" in out
     assert "lattice-edges=2" in out
+
+
+@pytest.mark.parametrize("size, latin_squares", [(4, 576), (5, 161_280)])
+def test_randomise_enumerates_latin_square_blockings(capsys, tmp_path, size, latin_squares):
+    # the systems of anova IxI are the partitions of its cells into I
+    # permutation matrices: the Latin squares of order I up to relabelling
+    # their symbols, of which there are L(I) / I!
+    p = tmp_path / "anova.txt"
+    assert cli.main(["catalog", "anova2", "--I", str(size), "--J", str(size), "-o", str(p)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["randomise", str(p), "--enumerate", "--shapes"])
+    assert code == 0
+    lines = out.splitlines()
+    count = latin_squares // math.factorial(size)
+    assert lines[0] == f"systems={count}"
+    assert lines[-2:] == ["shapes:", f"{'+'.join([str(size)] * size)} {count}"]
 
 
 def test_randomise_check_valid(capsys, design_file, tmp_path):
