@@ -23,8 +23,9 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .analysis_sim import (
     covariance_comparison,
@@ -219,7 +220,8 @@ def _design_from_matrix(matrix: IntMatrix) -> DesignModel:
     )
 
 
-def _emit(args: argparse.Namespace, human_lines: list[str], records: dict) -> None:
+def _emit(args: argparse.Namespace, human_lines: Iterable[str], records: dict) -> None:
+    """Print the records as JSON, or the human lines one by one as they come."""
     if args.format == "records":
         print(json.dumps(records, indent=2))
     else:
@@ -328,26 +330,28 @@ def cmd_randomise(args: argparse.Namespace) -> int:
         return _randomise_check(args, model)
 
     catalog = enumerate_circuit_randomisations(model, include_full=args.include_full)
-    labels = {b: _format_block(b) for b in {b for s in catalog.systems for b in s.blocks}}
-    lines = [f"systems={len(catalog)}"]
-    lines += [" ".join(map(labels.__getitem__, s.blocks)) for s in catalog.systems]
     records: dict = {}
     if args.format == "records":
-        records["systems"] = [[[i + 1 for i in b] for b in s.blocks] for s in catalog.systems]
+        one_based = [[i + 1 for i in b] for b in catalog.supports]
+        records["systems"] = [list(map(one_based.__getitem__, c)) for c in catalog.covers]
+    tail = []
     if args.shapes:
         shape_counts = catalog.shape_counts
-        lines.append("shapes:")
-        lines += [
+        tail.append("shapes:")
+        tail += [
             "+".join(str(x) for x in shape) + f" {count}"
             for shape, count in shape_counts.items()
         ]
         records["shapes"] = [[list(shape), count] for shape, count in shape_counts.items()]
     if args.lattice:
         edges = catalog.refinement_edges
-        lines.append(f"lattice-edges={len(edges)}")
-        lines += [f"{coarser + 1} covers {finer + 1}" for coarser, finer in edges]
+        tail.append(f"lattice-edges={len(edges)}")
+        tail += [f"{coarser + 1} covers {finer + 1}" for coarser, finer in edges]
         records["lattice_edges"] = [[coarser + 1, finer + 1] for coarser, finer in edges]
-    _emit(args, lines, records)
+    # one label per support; a system's line is formatted only as it is printed
+    labels = [_format_block(b) for b in catalog.supports]
+    system_lines = (" ".join(map(labels.__getitem__, c)) for c in catalog.covers)
+    _emit(args, chain([f"systems={len(catalog)}"], system_lines, tail), records)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import index
 from typing import Collection, Iterable, Sequence
@@ -92,21 +92,39 @@ class RandomisationSystem:
 class SchemeCatalog:
     """All valid circuit-based randomisation systems of one contrast model.
 
-    ``shape_counts`` and ``refinement_edges`` are derived from ``systems``
-    each time they are read, so a listing that prints neither pays for
-    neither.
+    A view of the exact-cover search: ``supports`` are the blocks the
+    search could use, sorted by (size, smallest run), and each entry of
+    ``covers`` is one system, the ascending indices of its blocks in
+    ``supports``.  Ascending indices are the canonical block order, and the
+    covers are listed in the order of their block tuples, the order
+    :func:`_cover_systems` describes.  ``len``, ``shape_counts`` and
+    ``refinement_edges`` read the indices alone; ``systems`` builds and
+    validates every :class:`RandomisationSystem` on first read and keeps
+    them, so a listing that never reads it builds none.
     """
 
     model: ContrastModel
-    systems: tuple[RandomisationSystem, ...]
+    supports: tuple[tuple[int, ...], ...]
+    covers: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
-        return len(self.systems)
+        return len(self.covers)
+
+    @cached_property
+    def systems(self) -> tuple[RandomisationSystem, ...]:
+        """The covers as systems, in listing order, built on first read."""
+        n, supports = self.model.n_runs, self.supports
+        return tuple(
+            RandomisationSystem(n, tuple(map(supports.__getitem__, c))) for c in self.covers
+        )
 
     @property
     def shape_counts(self) -> dict[tuple[int, ...], int]:
         """Systems per multiset of block sizes, shapes descending."""
-        return dict(sorted(Counter(s.shape for s in self.systems).items(), reverse=True))
+        # a cover's blocks come in ascending size, so reversed is the shape
+        sizes = [len(s) for s in self.supports]
+        shapes = Counter(tuple(map(sizes.__getitem__, reversed(c))) for c in self.covers)
+        return dict(sorted(shapes.items(), reverse=True))
 
     @property
     def refinement_edges(self) -> tuple[tuple[int, int], ...]:
@@ -118,9 +136,9 @@ class SchemeCatalog:
         ``(full, j)`` for every other system ``j`` when the single-block
         full randomisation sits at ``full``, and none otherwise.
         """
-        for at, s in enumerate(self.systems):
-            if len(s.blocks) == 1:
-                return tuple((at, j) for j in range(len(self.systems)) if j != at)
+        for at, c in enumerate(self.covers):
+            if len(c) == 1:
+                return tuple((at, j) for j in range(len(self.covers)) if j != at)
         return ()
 
 
@@ -168,28 +186,41 @@ def randomisation_vectors(model: ContrastModel) -> list[tuple[int, ...]]:
 
 def _cover_systems(
     n: int, supports: Sequence[tuple[int, ...]]
-) -> list[RandomisationSystem]:
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Every exact cover of ``range(n)`` by the distinct ``supports``.
 
-    ``supports`` are ascending run tuples of size >= 2.  Depth-first search
-    over the bitmask of uncovered runs, branching on the lowest one (Knuth,
-    "Dancing Links", 2000): a block that covers that run and lies inside the
-    uncovered runs must start at it, so only the blocks grouped under their
-    first run are tried, and each cover is reached exactly once.  The
-    supports are sorted by (size, first run) up front, so a cover's
-    ascending indices list its blocks in canonical order and each system is
-    built without re-sorting.  Systems are returned sorted by their blocks.
+    ``supports`` are ascending run tuples of size >= 2.  Returns
+    ``(supports, covers)``: the supports sorted by (size, first run), and
+    each cover as the tuple of its ascending indices into them.  Depth-first
+    search over the bitmask of uncovered runs, branching on the lowest one
+    (Knuth, "Dancing Links", 2000): a block that covers that run and lies
+    inside the uncovered runs must start at it, so only the blocks grouped
+    under their first run are tried, and each cover is reached exactly once.
+    Because of the (size, first run) sort, a cover's ascending indices list
+    its blocks in canonical order.
+
+    The covers are sorted as their block tuples would sort, without
+    building those.  Give each support its rank in plain tuple order; rank
+    comparison is then order-isomorphic to block comparison, and equal
+    ranks mean equal blocks, since the supports are distinct.  Two covers
+    therefore compare as their block tuples do wherever their rank
+    sequences first differ.  They always differ within the shorter one:
+    both partition the same runs, so no cover's block list is a proper
+    prefix of another's.  Packing each rank sequence left-aligned into one
+    integer, a fixed-width field per block and zeros after the last,
+    keeps that first difference in the most significant field where the
+    two differ, so one integer per cover is the sort key.
     """
     supports = sorted(supports, key=lambda s: (len(s), s[0]))
     starting_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx, s in enumerate(supports):
         starting_at[s[0]].append((sum(1 << i for i in s), idx))
-    covers: list[list[int]] = []
+    covers: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
     def search(remaining: int) -> None:
         if not remaining:
-            covers.append(sorted(chosen))
+            covers.append(tuple(sorted(chosen)))
             return
         for mask, idx in starting_at[(remaining & -remaining).bit_length() - 1]:
             if mask & remaining == mask:
@@ -198,10 +229,16 @@ def _cover_systems(
                 chosen.pop()
 
     search((1 << n) - 1)
-    # built after the search, not at each leaf: interleaving them with the
-    # search's short-lived lists raised a worker's peak RSS by about 1.5 MiB
-    systems = [RandomisationSystem(n, tuple(supports[i] for i in c)) for c in covers]
-    return sorted(systems, key=lambda s: s.blocks)
+    if covers:
+        rank = [0] * len(supports)
+        for r, idx in enumerate(sorted(range(len(supports)), key=supports.__getitem__)):
+            rank[idx] = r
+        width = (len(supports) - 1).bit_length()
+        fields = max(map(len, covers))
+        # field p of a cover's key holds the rank of its block p
+        shifted = [[r << width * (fields - 1 - p) for r in rank] for p in range(fields)]
+        covers.sort(key=lambda c: sum(map(list.__getitem__, shifted, c)))
+    return supports, covers
 
 
 def refines(r1: RandomisationSystem, r2: RandomisationSystem) -> bool:
@@ -232,10 +269,11 @@ def enumerate_circuit_randomisations(
     into blocks >= 2, and a support of all the runs forms only the
     single-block cover, so both are dropped; so is the empty cover of no
     runs.  The trivial single-block randomisation, valid for every model,
-    is appended only when ``include_full`` is set; its block is usually not
-    a circuit support.  Systems are sorted by their canonical block tuples;
-    the refinement edges follow in closed form, as :class:`SchemeCatalog`
-    describes.
+    is listed only when ``include_full`` is set: its block, usually not a
+    circuit support, joins the search as one more support, the last in
+    (size, first run) order, and forms the one single-block cover.  Systems
+    are sorted by their canonical block tuples; the refinement edges follow
+    in closed form, as :class:`SchemeCatalog` describes.
     """
     n = model.n_runs
     supports = [
@@ -243,11 +281,10 @@ def enumerate_circuit_randomisations(
         for v in randomisation_vectors(model)
     ]
     supports = [s for s in supports if 2 <= len(s) < n]
-    systems = _cover_systems(n, supports) if n else []
     if include_full and n >= 2:
-        systems.append(RandomisationSystem(n, (tuple(range(n)),)))
-        systems.sort(key=lambda s: s.blocks)
-    return SchemeCatalog(model=model, systems=tuple(systems))
+        supports.append(tuple(range(n)))
+    supports, covers = _cover_systems(n, supports) if n else ([], [])
+    return SchemeCatalog(model=model, supports=tuple(supports), covers=tuple(covers))
 
 
 def is_decomposable(model: ContrastModel, v: Sequence[int]) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitrand import cli
+from circuitrand.contrast import to_contrast_form
+from circuitrand.design_catalog import factorial_two_level
+from circuitrand.randomisation import RandomisationSystem, enumerate_circuit_randomisations
 
 from conftest import DIGRAPH_EDGES
 
@@ -314,6 +318,81 @@ def test_randomise_records(capsys, design_file):
     ]
     assert data["shapes"] == [[[4, 4], 1], [[2, 2, 2, 2], 1]]
     assert code == 0
+
+
+PINNED_DESIGNS = {
+    "2^4": ["factorial", "--k", "4"],
+    "digraph5": ["digraph", "--edges", "EDGES"],
+    "choice k=3": ["choice", "--k", "3"],
+    "anova 4x4": ["anova2", "--I", "4", "--J", "4"],
+}
+
+# sha256 of stdout for `randomise --enumerate --shapes --lattice`, by design,
+# format and --include-full, as listed when every system was built, sorted
+# and formatted from its blocks
+PINNED_LISTINGS = {
+    ("2^4", "human", False): "c9b5ab0a15898ad0bc419b909b0f43ccf4e7a44aef5c09b3612bcb05a317a750",
+    ("2^4", "human", True): "534a0f666d861d9453407d2131257a8bd83952d0d4ba337dc0bd38dfadffa182",
+    ("2^4", "records", False): "e242d6ef8735325bcb2aeb9c857ebcf77bf586aa2472a353c7cce0d76135633b",
+    ("2^4", "records", True): "18119cb95a9436fec78d5e138e67e0878c0d0a99cad8ed136720f2cd41f03339",
+    ("digraph5", "human", False): "9ce14306643e56c7a08c053cdfb820b32b3b5cab20c6e25dc2f0747ec1c10677",
+    ("digraph5", "human", True): "58e22aeee2615a16652c54d7b2f9c97f795f3b376f05b897c6e0efe5d2c07891",
+    ("digraph5", "records", False): "4bd8dc6e344930a427587fb6425eedb778b871f67abe7dd48f6d95190a5130bf",
+    ("digraph5", "records", True): "c818d17c319651a3369de866f0d7eeb6c73d6da9ef537df8736f8a52d6e6c75b",
+    ("choice k=3", "human", False): "21ae9ccb406fdf8f4e28c7b88fbbdb25ee3c34546a421c31f6607daac6dbdf6e",
+    ("choice k=3", "human", True): "6642ea3efa2532bc749b9832505dc7fbf3d9585dc06ccfbbb33e4671b232db3a",
+    ("choice k=3", "records", False): "0e8b1f6c2082baa1a95247a8ae07947da99fc9459991636dd70aa9aeb778fdf0",
+    ("choice k=3", "records", True): "224cde4b838063d4a02025876e94484fddab6018f13f840f08c7b187477e31b3",
+    ("anova 4x4", "human", False): "708761bfddf0c35f19f165336d41c904471dc099dfa79be57e4d32e87f0c5e0b",
+    ("anova 4x4", "human", True): "c30e22cd1c93b4bdcec2121cc48b55a7db5dce0cbe16c3687b80e9a8d9160350",
+    ("anova 4x4", "records", False): "286a498d0142187cf758914529ef48c52add943abe12f7e5363f4182cfeb2985",
+    ("anova 4x4", "records", True): "91660191fc193b72827b55811b76552dba52739fa4b214c9c0117c34973f4e1c",
+}
+
+
+def _pinned_design(name, tmp_path, edges_file, capsys) -> str:
+    p = tmp_path / "design.txt"
+    argv = [edges_file if a == "EDGES" else a for a in PINNED_DESIGNS[name]]
+    assert cli.main(["catalog", *argv, "-o", str(p)]) == 0
+    capsys.readouterr()
+    return str(p)
+
+
+@pytest.mark.parametrize("name, fmt, include_full", sorted(PINNED_LISTINGS))
+def test_randomise_listing_is_pinned(capsys, tmp_path, edges_file, name, fmt, include_full):
+    design = _pinned_design(name, tmp_path, edges_file, capsys)
+    argv = ["randomise", design, "--enumerate", "--shapes", "--lattice", "--format", fmt]
+    code, out, err = run(capsys, argv + ["--include-full"] * include_full)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LISTINGS[name, fmt, include_full]
+
+
+def _counted_systems(monkeypatch) -> list:
+    calls = []
+    post_init = RandomisationSystem.__post_init__
+
+    def counting(self):
+        calls.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(RandomisationSystem, "__post_init__", counting)
+    return calls
+
+
+def test_listing_builds_no_system(capsys, tmp_path, edges_file, monkeypatch):
+    # printing reads supports and covers only; a library caller that reads
+    # catalog.systems builds and validates each system once
+    design = _pinned_design("2^4", tmp_path, edges_file, capsys)
+    calls = _counted_systems(monkeypatch)
+    code, out, _ = run(capsys, ["randomise", design, "--enumerate", "--shapes", "--lattice"])
+    assert (code, out.splitlines()[0]) == (0, "systems=75")
+    assert calls == []
+    catalog = enumerate_circuit_randomisations(to_contrast_form(factorial_two_level(4)))
+    assert calls == []
+    first = catalog.systems
+    assert len(calls) == len(first) == len(catalog) == 75
+    assert catalog.systems is first
+    assert len(calls) == 75
 
 
 def test_tu_verdicts(capsys, contrast_file, tmp_path):

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -164,10 +165,13 @@ def test_shapes_are_sorted_only_when_read(model_2fourth, monkeypatch):
     at = next(i for i, s in enumerate(catalog.systems) if len(s.blocks) == 1)
     assert catalog.refinement_edges == tuple((at, j) for j in range(len(catalog)) if j != at)
     assert calls == []
+    # the table reads each cover's support sizes, which come in ascending
+    # order, so no system's shape is built or sorted for it
     counts = catalog.shape_counts
-    assert len(calls) == len(catalog)
+    assert calls == []
     assert sum(counts.values()) == len(catalog)
     assert list(counts) == sorted(counts, reverse=True)
+    assert counts == Counter(s.shape for s in catalog.systems)
 
 
 def test_catalog_equals_partition_brute_force(model_2cubed):
@@ -219,23 +223,73 @@ def block_families(draw):
     return n, draw(st.permutations([tuple(sorted(b)) for b in family]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(block_families(), st.data())
-def test_cover_systems_equal_subset_brute_force(family, data):
-    n, supports = family
+def _listed_blocks(n, supports):
+    """The block tuples of every cover ``_cover_systems`` lists, in its order."""
+    ordered, covers = _cover_systems(n, supports)
+    assert ordered == sorted(supports, key=lambda s: (len(s), s[0]))
+    return [tuple(map(ordered.__getitem__, c)) for c in covers]
+
+
+def _check_covers_against_brute_force(n, supports, shuffled):
     expected = {
         frozenset(chosen)
         for k in range(1, len(supports) + 1)
         for chosen in combinations(supports, k)
         if sorted(i for b in chosen for i in b) == list(range(n))
     }
-    systems = _cover_systems(n, supports)
-    assert {frozenset(s.blocks) for s in systems} == expected
-    assert len(systems) == len(expected)
-    assert [s.blocks for s in systems] == sorted(s.blocks for s in systems)
-    for s in systems:
-        assert s == RandomisationSystem.from_blocks(n, s.blocks)
-    assert _cover_systems(n, data.draw(st.permutations(supports))) == systems
+    listed = _listed_blocks(n, supports)
+    assert {frozenset(blocks) for blocks in listed} == expected
+    assert len(listed) == len(expected)
+    assert listed == sorted(listed)
+    for blocks in listed:
+        assert RandomisationSystem(n, blocks) == RandomisationSystem.from_blocks(n, blocks)
+    # indices follow the input order among supports that tie on (size, first
+    # run), so the listings are compared by their blocks
+    assert _listed_blocks(n, shuffled) == listed
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_families(), st.data())
+def test_cover_systems_equal_subset_brute_force(family, data):
+    n, supports = family
+    _check_covers_against_brute_force(n, supports, data.draw(st.permutations(supports)))
+
+
+def test_cover_systems_sort_in_the_all_runs_block():
+    # the block of all the runs is the last support in (size, first run)
+    # order, and its one-block cover is listed among the others by blocks
+    supports = [(0, 1, 2, 3, 4, 5), (2, 3), (0, 1), (4, 5), (0, 1, 2, 3), (0, 4), (1, 2, 3, 5)]
+    _check_covers_against_brute_force(6, supports, supports[::-1])
+    ordered, covers = _cover_systems(6, supports)
+    assert ordered[-1] == (0, 1, 2, 3, 4, 5)
+    assert (len(ordered) - 1,) in covers
+    assert _listed_blocks(6, supports) == [
+        ((0, 1), (2, 3), (4, 5)),
+        ((0, 1, 2, 3, 4, 5),),
+        ((0, 4), (1, 2, 3, 5)),
+        ((4, 5), (0, 1, 2, 3)),
+    ]
+
+
+VIEW_DESIGNS = {
+    "2^4": lambda: factorial_two_level(4),
+    "digraph5": lambda: digraph_design(digraph_five()),
+    "choice k=3": lambda: choice_k_of_2k(3),
+    "anova 4x4": lambda: anova_two_way(4, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_DESIGNS))
+@pytest.mark.parametrize("include_full", [False, True])
+def test_catalog_view_matches_built_systems(name, include_full):
+    model = to_contrast_form(VIEW_DESIGNS[name]())
+    catalog = enumerate_circuit_randomisations(model, include_full=include_full)
+    systems = catalog.systems
+    assert len(catalog) == len(systems)
+    assert catalog.shape_counts == Counter(s.shape for s in systems)
+    assert list(catalog.shape_counts) == sorted(catalog.shape_counts, reverse=True)
+    assert list(catalog.refinement_edges) == oracles.covering_pairs([s.blocks for s in systems])
+    assert all(is_valid_randomisation(model, s) for s in systems)
 
 
 def test_refines_and_shared_blocks():
