@@ -27,8 +27,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .contrast import ContrastModel
-from .exact_linalg import IntMatrix, pivot_columns, rational_solve
-from .randomisation import DimensionMismatchError, RandomisationSystem
+from .exact_linalg import IntMatrix, _reduce, rational_solve
+from .randomisation import DimensionMismatchError, RandomisationSystem, _block_violation
 
 
 class RankDeficientError(ValueError):
@@ -180,16 +180,27 @@ def covariance_comparison(model: ContrastModel, z: IntMatrix) -> CovarianceOrder
       column is orthogonal to every contrast.
 
     Raises :class:`RankDeficientError` when the contrast columns are
-    linearly dependent.
+    linearly dependent.  Then blocks that all sum to zero on every
+    contrast, as a valid system's do, give ``EQUAL`` with no block column
+    reduced; otherwise the first kept block column, in the greedy pivot
+    order of ``[C | Z]``, that is not orthogonal gives ``PROPER_DOMINATES``.
     """
     _validate_indicators(model, z)
-    q = model.n_contrasts
-    pivots = pivot_columns(model.contrast.hstack(z))
-    if pivots[:q] != list(range(q)):
-        raise RankDeficientError("the contrast columns are linearly dependent")
-    kept = z.restrict_columns([c - q for c in pivots[q:]])
-    if any(x for row in model.contrast.transpose().mul(kept).rows for x in row):
-        return CovarianceOrdering.PROPER_DOMINATES
+    echelon = []
+    for col in model.contrast.columns():
+        reduced = _reduce(col, echelon)
+        if reduced is None:
+            raise RankDeficientError("the contrast columns are linearly dependent")
+        echelon.append(reduced)
+    blocks = [[i for i, x in enumerate(b) if x] for b in z.columns()]
+    if _block_violation(model, blocks) is None:
+        return CovarianceOrdering.EQUAL
+    for col, block in zip(z.columns(), blocks):
+        reduced = _reduce(col, echelon)
+        if reduced is not None:
+            if _block_violation(model, [block]) is not None:
+                return CovarianceOrdering.PROPER_DOMINATES
+            echelon.append(reduced)
     return CovarianceOrdering.EQUAL
 
 

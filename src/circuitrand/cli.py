@@ -53,6 +53,7 @@ from .exact_linalg import IntMatrix
 from .randomisation import (
     RandomisationSystem,
     _block_violation,
+    _indicator_matrix,
     enumerate_circuit_randomisations,
 )
 from .unimodular import (
@@ -192,6 +193,13 @@ def _read_file(path: str) -> str:
 def _read_matrix(path: str) -> IntMatrix:
     try:
         return parse_matrix_text(_read_file(path))
+    except ValueError as exc:
+        raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
+
+
+def _read_blocks(path: str) -> list[tuple[int, ...]]:
+    try:
+        return parse_blocks_text(_read_file(path))
     except ValueError as exc:
         raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
 
@@ -343,11 +351,13 @@ def cmd_randomise(args: argparse.Namespace) -> int:
             for shape, count in shape_counts.items()
         ]
         records["shapes"] = [[list(shape), count] for shape, count in shape_counts.items()]
-    if args.lattice:
-        edges = catalog.refinement_edges
-        tail.append(f"lattice-edges={len(edges)}")
-        tail += [f"{coarser + 1} covers {finer + 1}" for coarser, finer in edges]
-        records["lattice_edges"] = [[coarser + 1, finer + 1] for coarser, finer in edges]
+    if args.lattice and args.format == "records":
+        records["lattice_edges"] = [[c + 1, f + 1] for c, f in catalog.refinement_edges]
+    elif args.lattice:
+        # one edge from the single-block cover to each other system, else none
+        full = any(len(c) == 1 for c in catalog.covers)
+        tail.append(f"lattice-edges={len(catalog) - 1 if full else 0}")
+        tail = chain(tail, (f"{c + 1} covers {f + 1}" for c, f in catalog._edges()))
     # one label per support; a system's line is formatted only as it is printed
     labels = [_format_block(b) for b in catalog.supports]
     system_lines = (" ".join(map(labels.__getitem__, c)) for c in catalog.covers)
@@ -356,10 +366,7 @@ def cmd_randomise(args: argparse.Namespace) -> int:
 
 
 def _randomise_check(args: argparse.Namespace, model: ContrastModel) -> int:
-    try:
-        blocks = parse_blocks_text(_read_file(args.check))
-    except ValueError as exc:
-        raise CliError(EXIT_PARAMS, f"{args.check}: {exc}") from exc
+    blocks = _read_blocks(args.check)
     try:
         system = RandomisationSystem.from_blocks(model.n_runs, blocks)
     except ValueError as exc:
@@ -398,10 +405,7 @@ def cmd_analyse(args: argparse.Namespace) -> int:
         )
     matrix = _read_matrix(args.input)
     model = _contrast_model(matrix, args.input)
-    try:
-        blocks = parse_blocks_text(_read_file(args.system))
-    except ValueError as exc:
-        raise CliError(EXIT_PARAMS, f"{args.system}: {exc}") from exc
+    blocks = _read_blocks(args.system)
     _validate_blocks(blocks, model.n_runs)
     try:
         y = parse_rational_list(_read_file(args.y))
@@ -416,14 +420,7 @@ def cmd_analyse(args: argparse.Namespace) -> int:
         raise CliError(
             EXIT_PARAMS, f"need {len(blocks)} block effects, got {len(gamma)}"
         )
-    block_of = {run: k for k, b in enumerate(blocks) for run in b}
-    z = IntMatrix.from_rows(
-        (
-            tuple(int(block_of.get(run) == k) for k in range(len(blocks)))
-            for run in range(model.n_runs)
-        ),
-        n_cols=len(blocks),
-    )
+    z = _indicator_matrix(model.n_runs, blocks)
     estimates = lse_contrast_estimates(model, y)
     bias = naive_block_bias(model, z, gamma)
     # estimates are linear in y, so the shift moves them by exactly the bias

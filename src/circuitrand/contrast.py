@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, pivot_columns
+from .exact_linalg import IntMatrix, _reduce
 
 
 class JNotInColumnSpaceError(ValueError):
@@ -61,8 +61,8 @@ class ContrastModel:
     contrast: IntMatrix
 
     def __post_init__(self) -> None:
-        for j in range(self.contrast.n_cols):
-            if sum(self.contrast.column(j)) != 0:
+        for j, col in enumerate(self.contrast.columns()):
+            if sum(col) != 0:
                 raise ValueError(f"contrast column {j} does not sum to zero")
 
     @property
@@ -75,8 +75,7 @@ class ContrastModel:
 
     def model_matrix(self) -> IntMatrix:
         """The full model matrix ``[j : contrast]`` with the ones column first."""
-        ones = IntMatrix.from_rows(((1,) for _ in range(self.n_runs)), n_cols=1)
-        return ones.hstack(self.contrast)
+        return IntMatrix.from_rows(((1, *row) for row in self.contrast.rows), n_cols=1)
 
 
 def to_contrast_form(design: DesignModel) -> ContrastModel:
@@ -85,24 +84,30 @@ def to_contrast_form(design: DesignModel) -> ContrastModel:
     Each column ``c`` of the design is centred to ``n*c - (j.c)*j`` and
     divided by the gcd of its entries, which makes it primitive; the pivot
     columns of the nonzero centred columns, a maximal independent set kept
-    left to right, are the contrasts.  Raises :class:`JNotInColumnSpaceError` when the all-ones
-    vector is outside the design's column space.
+    left to right, are the contrasts.  Centring is ``n`` times the
+    projection with kernel ``span(j)``, so they are the pivots after ``j``
+    of ``[j | X]``, found in one pass that centres only them.  ``j`` alone
+    carries an appended 1 that tracks its coefficient: a remainder that is
+    zero but for that entry, which then pivots, marks a dependency of
+    ``[j | X]`` that uses ``j``.  Without one, ``j`` is outside the column
+    space and :class:`JNotInColumnSpaceError` is raised.
     """
     x = design.matrix
     n = x.n_rows
-    ones = IntMatrix.from_rows(((1,) for _ in range(n)), n_cols=1)
-    if x.n_cols in pivot_columns(x.hstack(ones)):
-        raise JNotInColumnSpaceError("the all-ones vector is not in the column space")
-
-    centred: list[tuple[int, ...]] = []
+    echelon = [_reduce((1,) * (n + 1), [])]
+    contrasts = []
     for col in x.columns():
-        total = sum(col)
-        w = tuple(n * v - total for v in col)
-        if any(w):
+        reduced = _reduce(col + (0,), echelon)
+        if reduced:
+            echelon.append(reduced)
+        if reduced and reduced[0] < n:
+            total = sum(col)
+            w = [n * v - total for v in col]
             g = gcd(*w)
-            centred.append(tuple(v // g for v in w))
-    centred_matrix = IntMatrix.from_rows(centred, n_cols=n).transpose()
-    return ContrastModel(centred_matrix.restrict_columns(pivot_columns(centred_matrix)))
+            contrasts.append(tuple(v // g for v in w))
+    if all(p < n for p, _ in echelon):
+        raise JNotInColumnSpaceError("the all-ones vector is not in the column space")
+    return ContrastModel(IntMatrix.from_rows(contrasts, n_cols=n).transpose())
 
 
 def empirical_contrast_check(coefficients: Sequence) -> bool:

@@ -80,17 +80,11 @@ class IntMatrix:
         return tuple(row[j] for row in self.rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.n_cols)]
+        # zip of no rows yields nothing, so a 0-row matrix keeps its empty columns
+        return list(zip(*self.rows)) if self.rows else [()] * self.n_cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            (self.column(j) for j in range(self.n_cols)), n_cols=self.n_rows
-        )
-
-    def restrict_columns(self, cols: Sequence[int]) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            (tuple(row[c] for c in cols) for row in self.rows), n_cols=len(cols)
-        )
+        return IntMatrix.from_rows(self.columns(), n_cols=self.n_rows)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.n_rows != other.n_rows:

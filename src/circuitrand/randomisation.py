@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import index
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 # circuit_basis stays importable here: bench/worker.py traces randomisation.circuit_basis
 from .circuits import binary_circuit_vectors, circuit_basis  # noqa: F401
@@ -76,16 +76,20 @@ class RandomisationSystem:
         return tuple(sorted((len(b) for b in self.blocks), reverse=True))
 
     def indicator(self, block_index: int) -> tuple[int, ...]:
-        b = set(self.blocks[block_index])
-        return tuple(int(i in b) for i in range(self.n_runs))
+        return self.indicator_matrix().column(block_index)
 
     def indicator_matrix(self) -> IntMatrix:
         """The ``n_runs x n_blocks`` 0/1 block indicator matrix."""
-        sets = [set(b) for b in self.blocks]
-        return IntMatrix.from_rows(
-            (tuple(int(run in b) for b in sets) for run in range(self.n_runs)),
-            n_cols=len(sets),
-        )
+        return _indicator_matrix(self.n_runs, self.blocks)
+
+
+def _indicator_matrix(n_runs: int, blocks: Sequence[Iterable[int]]) -> IntMatrix:
+    """The 0/1 matrix whose column ``k`` indicates ``blocks[k]``, set block by block."""
+    rows = [[0] * len(blocks) for _ in range(n_runs)]
+    for k, b in enumerate(blocks):
+        for run in b:
+            rows[run][k] = 1
+    return IntMatrix.from_rows(rows, n_cols=len(blocks))
 
 
 @dataclass(frozen=True)
@@ -136,10 +140,13 @@ class SchemeCatalog:
         ``(full, j)`` for every other system ``j`` when the single-block
         full randomisation sits at ``full``, and none otherwise.
         """
+        return tuple(self._edges())
+
+    def _edges(self) -> Iterator[tuple[int, int]]:
+        # at most one cover has a single block
         for at, c in enumerate(self.covers):
             if len(c) == 1:
-                return tuple((at, j) for j in range(len(self.covers)) if j != at)
-        return ()
+                yield from ((at, j) for j in range(len(self.covers)) if j != at)
 
 
 def _block_violation(

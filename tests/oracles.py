@@ -74,6 +74,33 @@ def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def contrast_columns(rows: Sequence[Sequence[int]], n_cols: int) -> list[tuple[int, ...]] | None:
+    """Contrast columns of a design, or ``None`` when ``j`` is outside its column space.
+
+    Each column ``c`` is centred to ``n*c - sum(c)`` and divided by the
+    gcd of its entries; the nonzero centred columns at the pivots of their
+    Fraction row echelon form are the contrasts.  ``j`` is in the column
+    space exactly when appending it leaves the rank unchanged.
+    """
+    n = len(rows)
+    cols = [[row[c] for row in rows] for c in range(n_cols)]
+
+    def pivots(columns: list[list[int]]) -> list[int]:
+        if not columns:
+            return []
+        return rref([[Fraction(col[i]) for col in columns] for i in range(n)])[1]
+
+    if len(pivots(cols + [[1] * n])) != len(pivots(cols)):
+        return None
+    centred = []
+    for col in cols:
+        w = [n * v - sum(col) for v in col]
+        if any(w):
+            g = gcd(*w)
+            centred.append([v // g for v in w])
+    return [tuple(centred[p]) for p in pivots(centred)]
+
+
 def brute_circuit_vectors(rows: list[list[int]], n_cols: int) -> list[tuple[int, ...]]:
     """Every circuit of the matrix, by scanning all column subsets.
 

@@ -26,6 +26,7 @@ from circuitrand.exact_linalg import IntMatrix
 from circuitrand.randomisation import (
     DimensionMismatchError,
     RandomisationSystem,
+    _block_violation,
     enumerate_circuit_randomisations,
 )
 
@@ -219,6 +220,24 @@ def test_block_diagnostics_match_the_two_inverse_oracle(case, data):
     assert block_shift_invariance(model, system, y, gamma) == (
         lse_contrast_estimates(model, y) == lse_contrast_estimates(model, shifted)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CATALOG_MODELS)), st.data())
+def test_partitions_are_equal_exactly_when_every_block_is_orthogonal(name, data):
+    """Disjoint blocks: the first one not orthogonal to the contrasts is kept."""
+    model = CATALOG_MODELS[name]
+    runs = data.draw(st.lists(st.integers(0, model.n_runs - 1), min_size=1, unique=True))
+    blocks = partition(data.draw, runs, 1)
+    ordering = covariance_comparison(model, indicator_matrix(model.n_runs, blocks))
+    assert (ordering == CovarianceOrdering.EQUAL) == (_block_violation(model, blocks) is None)
+
+
+def test_rank_deficiency_is_raised_before_the_orthogonal_exit():
+    model = hand_built_model(4, [(1, -1, 0, 0), (2, -2, 0, 0)])
+    for blocks in ([], [range(4)], [[2, 3]], [[2, 3], [0, 1, 2, 3]]):
+        with pytest.raises(RankDeficientError):
+            covariance_comparison(model, indicator_matrix(4, blocks))
 
 
 def normal_equation_solution(model, v):

@@ -19,6 +19,8 @@ from circuitrand.design_catalog import (
 from circuitrand.exact_linalg import IntMatrix, rank
 from circuitrand.randomisation import enumerate_circuit_randomisations
 
+import oracles
+
 
 def test_design_model_label_validation():
     m = IntMatrix.from_rows([[1, 1], [1, -1]])
@@ -164,3 +166,50 @@ def test_contrast_form_under_column_scaling(design, data):
     systems = enumerate_circuit_randomisations(model).systems
     assert enumerate_circuit_randomisations(positive).systems == systems
     assert enumerate_circuit_randomisations(signed).systems == systems
+
+
+@st.composite
+def integer_designs(draw):
+    """Random integer designs, ``j`` in their column space or not.
+
+    Columns are random, zero, constant, or copies and multiples of earlier
+    columns; now and then a column ``a * j + b * c`` with ``a`` nonzero puts
+    ``j`` in the column space.
+    """
+    n = draw(st.integers(1, 7))
+    cols = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["random", "zero", "constant", "copy", "intercept"]))
+        if kind == "zero":
+            cols.append([0] * n)
+        elif kind == "constant":
+            cols.append([draw(st.integers(-3, 3).filter(bool))] * n)
+        elif kind == "copy" and cols:
+            k = draw(st.integers(-2, 2).filter(bool))
+            cols.append([k * v for v in draw(st.sampled_from(cols))])
+        elif kind == "intercept" and cols:
+            a = draw(st.integers(-2, 2).filter(bool))
+            b = draw(st.integers(-2, 2))
+            base = draw(st.sampled_from(cols))
+            cols.append([a + b * v for v in base])
+        else:
+            cols.append(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    rows = [[col[i] for col in cols] for i in range(n)]
+    return DesignModel(
+        matrix=IntMatrix.from_rows(rows, n_cols=len(cols)),
+        run_labels=[str(i) for i in range(n)],
+        param_labels=[str(j) for j in range(len(cols))],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_designs())
+def test_contrast_form_matches_the_fraction_oracle(design):
+    expected = oracles.contrast_columns(design.matrix.rows, design.matrix.n_cols)
+    if expected is None:
+        with pytest.raises(JNotInColumnSpaceError):
+            to_contrast_form(design)
+        return
+    contrast = to_contrast_form(design).contrast
+    assert contrast.n_rows == design.n_runs
+    assert contrast.columns() == expected

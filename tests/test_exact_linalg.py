@@ -54,11 +54,6 @@ def test_hstack_and_columns():
     assert c.column(1) == (3, 4)
 
 
-def test_restrict_columns():
-    m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert m.restrict_columns([0, 2]).rows == ((1, 3), (4, 6))
-
-
 def test_mul_and_mul_vector():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     b = IntMatrix.from_rows([[0, 1], [1, 0]])

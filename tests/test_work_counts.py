@@ -1,0 +1,61 @@
+"""Work-count guards: how many elimination steps a call makes, never how long.
+
+Each test wraps :func:`circuitrand.exact_linalg._reduce`, under the name the
+module under test calls it by, with a counter.
+"""
+
+import pytest
+
+from circuitrand import analysis_sim, contrast
+from circuitrand.analysis_sim import CovarianceOrdering, covariance_comparison
+from circuitrand.contrast import to_contrast_form
+from circuitrand.design_catalog import factorial_two_level
+from circuitrand.exact_linalg import IntMatrix
+from circuitrand.randomisation import RandomisationSystem
+
+
+@pytest.fixture
+def count_reduce(monkeypatch):
+    """Count the ``_reduce`` calls made through one module."""
+
+    def install(module):
+        calls = []
+        inner = module._reduce
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(module, "_reduce", counted)
+        return calls
+
+    return install
+
+
+def test_contrast_form_reduces_each_column_of_j_and_x_once(count_reduce):
+    design = factorial_two_level(5)
+    calls = count_reduce(contrast)
+    to_contrast_form(design)
+    assert len(calls) == design.matrix.n_cols + 1
+
+
+def test_a_valid_blocking_reduces_only_the_contrast_columns(count_reduce):
+    model = to_contrast_form(factorial_two_level(4))
+    # run i and its fold-over 15 - i have opposite signs on every factor
+    z = RandomisationSystem.from_blocks(16, [(i, 15 - i) for i in range(8)]).indicator_matrix()
+    calls = count_reduce(analysis_sim)
+    assert covariance_comparison(model, z) == CovarianceOrdering.EQUAL
+    assert len(calls) == model.n_contrasts
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (1, 1), (3, 4), (4, 3)])
+def test_columns_and_transpose_agree_with_column(shape):
+    n_rows, n_cols = shape
+    m = IntMatrix.from_rows(
+        [[10 * i + j for j in range(n_cols)] for i in range(n_rows)], n_cols=n_cols
+    )
+    columns = [m.column(j) for j in range(n_cols)]
+    assert m.columns() == columns
+    t = m.transpose()
+    assert (t.n_rows, t.n_cols) == (n_cols, n_rows)
+    assert list(t.rows) == columns
