@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .contrast import ContrastModel
-from .exact_linalg import IntMatrix, _reduce, rational_solve
+from .exact_linalg import IntMatrix, SingularError, _reduce, rational_solve
 from .randomisation import DimensionMismatchError, RandomisationSystem, _block_violation
 
 
@@ -70,17 +70,25 @@ class EstimateReport:
     covariance_ordering: CovarianceOrdering
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _lse_operator(model: ContrastModel) -> tuple[IntMatrix, int]:
-    """The exact LSE map of ``M = [j : C]`` over one common denominator.
+    """The contrast rows of the exact LSE map of ``M = [j : C]``.
 
-    Returns ``(N, d)``: an integer matrix ``N`` and the least positive
-    ``d`` with ``(M'M)^-1 M' = N / d``, so that applying the map costs
-    integer dot products and one division per estimate.
+    The contrasts sum to zero, so ``M'M = diag(n, C'C)``: the intercept row
+    of ``(M'M)^-1 M'`` is ``j' / n`` and the contrast rows are
+    ``(C'C)^-1 C'``.  Returns ``(N, d)``: an integer matrix ``N`` and the
+    least positive ``d`` with ``(C'C)^-1 C' = N / d``, so that applying the
+    map costs integer dot products and one division per estimate.  Raises
+    :class:`RankDeficientError` when the contrast columns are dependent, or
+    when there are no runs and ``j`` itself is zero.
     """
-    m = model.model_matrix()
-    mt = m.transpose()
-    return rational_solve(mt.mul(m), mt)
+    if not model.n_runs:
+        raise RankDeficientError("a model with no runs has no intercept")
+    ct = model.contrast.transpose()
+    try:
+        return rational_solve(ct.mul(model.contrast), ct)
+    except SingularError:
+        raise RankDeficientError("the contrast columns are linearly dependent") from None
 
 
 def _scaled(values: Sequence) -> tuple[list[int], int]:
@@ -91,7 +99,7 @@ def _scaled(values: Sequence) -> tuple[list[int], int]:
 
 
 def _apply_lse(model: ContrastModel, v: Sequence[int], scale: int) -> tuple[Fraction, ...]:
-    """The LSE map applied to the response ``v / scale``, ``v`` an integer vector."""
+    """The contrast estimates of the response ``v / scale``, ``v`` an integer vector."""
     n, d = _lse_operator(model)
     return tuple(Fraction(x, d * scale) for x in n.mul_vector(v))
 
@@ -100,12 +108,15 @@ def lse_estimates(model: ContrastModel, y: Sequence) -> tuple[Fraction, ...]:
     """Exact least-squares estimates (intercept first, then contrasts).
 
     The response is scaled to integers by the lcm of its denominators, so
-    each estimate is one integer dot product with a row of the LSE map
-    over the product of the two common denominators.
+    each contrast estimate is one integer dot product with a row of the
+    LSE map over the product of the two common denominators, and the
+    intercept is the mean of the response.
     """
     if len(y) != model.n_runs:
         raise DimensionMismatchError("response length does not match the model")
-    return _apply_lse(model, *_scaled(y))
+    v, scale = _scaled(y)
+    contrasts = _apply_lse(model, v, scale)
+    return (Fraction(sum(v), model.n_runs * scale), *contrasts)
 
 
 def lse_contrast_estimates(model: ContrastModel, y: Sequence) -> tuple[Fraction, ...]:
@@ -162,7 +173,7 @@ def naive_block_bias(
     if len(gamma) != z.n_cols:
         raise ValueError("one effect per block column is required")
     g, scale = _scaled(gamma)
-    return _apply_lse(model, z.mul_vector(g), scale)[1:]
+    return _apply_lse(model, z.mul_vector(g), scale)
 
 
 def covariance_comparison(model: ContrastModel, z: IntMatrix) -> CovarianceOrdering:

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .analysis_sim import (
     covariance_comparison,
@@ -70,6 +70,7 @@ EXIT_INVALID_SYSTEM = 4
 EXIT_BUDGET = 5
 # the digit limit Python applies when it reads an integer from text
 _MAX_EXPONENT = 4300
+_T = TypeVar("_T")
 
 
 class CliError(Exception):
@@ -183,23 +184,12 @@ def parse_rational_list(text: str) -> list[Fraction]:
     return values
 
 
-def _read_file(path: str) -> str:
+def _read(path: str, parse: Callable[[str], _T]) -> _T:
+    """Parse the text of ``path``; a bad file exits 2 with a message naming it."""
     try:
-        return Path(path).read_text()
+        return parse(Path(path).read_text())
     except OSError as exc:
         raise CliError(EXIT_PARAMS, f"cannot read {path}: {exc}") from exc
-
-
-def _read_matrix(path: str) -> IntMatrix:
-    try:
-        return parse_matrix_text(_read_file(path))
-    except ValueError as exc:
-        raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
-
-
-def _read_blocks(path: str) -> list[tuple[int, ...]]:
-    try:
-        return parse_blocks_text(_read_file(path))
     except ValueError as exc:
         raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
 
@@ -300,14 +290,11 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def _parse_edges_arg(path: str | None) -> DirectedGraph:
     if not path:
         raise CliError(EXIT_PARAMS, "the digraph family needs --edges FILE")
-    try:
-        return parse_edges_text(_read_file(path))
-    except ValueError as exc:
-        raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
+    return _read(path, parse_edges_text)
 
 
 def cmd_circuits(args: argparse.Namespace) -> int:
-    matrix = _read_matrix(args.input)
+    matrix = _read(args.input, parse_matrix_text)
     if args.transpose:
         matrix = matrix.transpose()
     basis = circuit_basis(matrix)
@@ -332,7 +319,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
 
 
 def cmd_randomise(args: argparse.Namespace) -> int:
-    matrix = _read_matrix(args.input)
+    matrix = _read(args.input, parse_matrix_text)
     model = _contrast_model(matrix, args.input)
     if args.check:
         return _randomise_check(args, model)
@@ -366,7 +353,7 @@ def cmd_randomise(args: argparse.Namespace) -> int:
 
 
 def _randomise_check(args: argparse.Namespace, model: ContrastModel) -> int:
-    blocks = _read_blocks(args.check)
+    blocks = _read(args.check, parse_blocks_text)
     try:
         system = RandomisationSystem.from_blocks(model.n_runs, blocks)
     except ValueError as exc:
@@ -385,7 +372,7 @@ def _randomise_check(args: argparse.Namespace, model: ContrastModel) -> int:
 
 def cmd_tu(args: argparse.Namespace) -> int:
     _require(args.cap >= 0, f"--cap must be at least 0, got {args.cap}")
-    matrix = _read_matrix(args.input)
+    matrix = _read(args.input, parse_matrix_text)
     try:
         verdict = is_totally_unimodular(matrix, size_cap=args.cap)
     except TooLargeError as exc:
@@ -403,15 +390,12 @@ def cmd_analyse(args: argparse.Namespace) -> int:
             EXIT_PARAMS,
             "analyse needs DESIGN --system FILE --y FILE --gamma FILE, or --simulate",
         )
-    matrix = _read_matrix(args.input)
+    matrix = _read(args.input, parse_matrix_text)
     model = _contrast_model(matrix, args.input)
-    blocks = _read_blocks(args.system)
+    blocks = _read(args.system, parse_blocks_text)
     _validate_blocks(blocks, model.n_runs)
-    try:
-        y = parse_rational_list(_read_file(args.y))
-        gamma = parse_rational_list(_read_file(args.gamma))
-    except ValueError as exc:
-        raise CliError(EXIT_PARAMS, str(exc)) from exc
+    y = _read(args.y, parse_rational_list)
+    gamma = _read(args.gamma, parse_rational_list)
     if len(y) != model.n_runs:
         raise CliError(
             EXIT_PARAMS, f"need {model.n_runs} responses, got {len(y)}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from operator import index
 from typing import Collection, Iterable, Iterator, Sequence
@@ -176,19 +176,13 @@ def is_valid_randomisation(model: ContrastModel, system: RandomisationSystem) ->
     return _block_violation(model, system.blocks) is None
 
 
-@lru_cache(maxsize=64)
-def _randomisation_vectors(model: ContrastModel) -> tuple[tuple[int, ...], ...]:
-    return tuple(binary_circuit_vectors(model.contrast.transpose()))
-
-
 def randomisation_vectors(model: ContrastModel) -> list[tuple[int, ...]]:
     """Binary nonnegative circuits of the transposed contrast matrix.
 
     These are the inclusion-minimal 0/1 vectors orthogonal to all contrasts,
-    i.e. the indicators of the minimal usable blocks.  Cached per model, so
-    repeated queries against the same model pay for the circuit search once.
+    i.e. the indicators of the minimal usable blocks.
     """
-    return list(_randomisation_vectors(model))
+    return binary_circuit_vectors(model.contrast.transpose())
 
 
 def _cover_systems(
@@ -303,6 +297,11 @@ def is_decomposable(model: ContrastModel, v: Sequence[int]) -> bool:
     circuit lies strictly inside the support of ``v``: subtracting that
     circuit leaves another randomisation vector, so ``v`` is a sum of
     randomisation vectors with smaller supports.
+
+    The circuits inside a set of columns are exactly the circuits of the
+    matrix restricted to those columns (Oxley, *Matroid Theory*, 2011,
+    section 1.3), so the search runs on the contrast rows of the support
+    alone; a zero row is a singleton circuit there as in the full search.
     """
     w = tuple(map(index, v))
     if len(w) != model.n_runs:
@@ -311,11 +310,11 @@ def is_decomposable(model: ContrastModel, v: Sequence[int]) -> bool:
         raise ValueError("randomisation vectors must be binary")
     if not any(w):
         raise NotARandomisationVectorError("the zero vector is not a randomisation vector")
-    support = {i for i, x in enumerate(w) if x}
+    support = [i for i, x in enumerate(w) if x]
     if _block_violation(model, [support]) is not None:
         raise NotARandomisationVectorError(
             "vector is not orthogonal to the contrast columns"
         )
-    return any(set(s) < support for s in (
-        tuple(i for i, x in enumerate(u) if x) for u in _randomisation_vectors(model)
-    ))
+    rows = model.contrast.rows
+    inside = IntMatrix.from_rows([rows[i] for i in support]).transpose()
+    return any(sum(u) < len(support) for u in binary_circuit_vectors(inside))

@@ -35,7 +35,6 @@ from circuitrand.design_catalog import (
 )
 from circuitrand.exact_linalg import IntMatrix, rank
 from circuitrand.randomisation import (
-    _randomisation_vectors,
     enumerate_circuit_randomisations,
     is_valid_randomisation,
     refines,
@@ -103,7 +102,6 @@ def test_criterion_01_two_cubed_circuits(criterion_report):
 
 
 def test_criterion_02_two_cubed_schemes(criterion_report):
-    _randomisation_vectors.cache_clear()
     start = time.perf_counter()
     model = to_contrast_form(factorial_two_level(3))
     catalog = enumerate_circuit_randomisations(model)
@@ -123,7 +121,6 @@ def test_criterion_02_two_cubed_schemes(criterion_report):
 
 
 def test_criterion_03_two_fourth_counts(criterion_report):
-    _randomisation_vectors.cache_clear()
     start = time.perf_counter()
     model = to_contrast_form(factorial_two_level(4))
     basis = circuit_basis(model.contrast.transpose())
@@ -183,7 +180,6 @@ def test_criterion_04_choice_design(criterion_report):
 
 
 def test_criterion_05_digraph_example(criterion_report):
-    _randomisation_vectors.cache_clear()
     start = time.perf_counter()
     model = to_contrast_form(digraph_design(digraph_five()))
     basis = circuit_basis(model.contrast.transpose())

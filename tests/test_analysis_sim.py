@@ -240,6 +240,24 @@ def test_rank_deficiency_is_raised_before_the_orthogonal_exit():
             covariance_comparison(model, indicator_matrix(4, blocks))
 
 
+def test_every_analysis_raises_one_error_for_dependent_contrasts():
+    model = hand_built_model(4, [(1, -1, 0, 0), (2, -2, 0, 0)])
+    z = indicator_matrix(4, [[0, 1], [2, 3]])
+    y = [1, 2, 3, 4]
+    outcome = ExperimentOutcome(y=tuple(y), block_effects=(1, 2))
+    for call in (
+        lambda: covariance_comparison(model, z),
+        lambda: lse_estimates(model, y),
+        lambda: lse_contrast_estimates(model, y),
+        lambda: naive_block_bias(model, z, [1, 2]),
+        lambda: analyse_experiment(model, z, outcome),
+    ):
+        with pytest.raises(RankDeficientError, match="the contrast columns are linearly dependent"):
+            call()
+    with pytest.raises(RankDeficientError, match="no intercept"):
+        lse_estimates(ContrastModel(IntMatrix.from_rows([], n_cols=0)), [])
+
+
 def normal_equation_solution(model, v):
     """Solve ``M'M beta = M'v`` for ``M = [j : C]`` by Fraction row reduction."""
     m = [[Fraction(x) for x in row] for row in model.model_matrix().rows]

@@ -474,6 +474,20 @@ def test_analyse_rejects_a_huge_exponent(capsys, design_file, tmp_path, token):
     assert "cannot parse rational number" in err
 
 
+def test_analyse_names_the_file_with_a_bad_token(capsys, design_file, tmp_path):
+    blocks = tmp_path / "b.txt"
+    blocks.write_text("1 8\n2 7\n3 6\n4 5\n")
+    y = tmp_path / "y.txt"
+    y.write_text("".join(f"{i}\n" for i in range(1, 9)))
+    gamma = tmp_path / "g.txt"
+    gamma.write_text("1\n2\nx\n4\n")
+    code, out, err = run(capsys, [
+        "analyse", design_file, "--system", str(blocks), "--y", str(y), "--gamma", str(gamma),
+    ])
+    assert (code, out) == (2, "")
+    assert err == f"circuitrand: {gamma}: cannot parse rational number 'x'\n"
+
+
 def test_analyse_valid_system_is_invariant(capsys, design_file, tmp_path):
     blocks = tmp_path / "b.txt"
     blocks.write_text("1 8\n2 7\n3 6\n4 5\n")

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circuitrand.circuits import binary_circuit_vectors, binary_circuits, circuit_basis
@@ -21,7 +21,6 @@ from circuitrand.randomisation import (
     NotARandomisationVectorError,
     RandomisationSystem,
     _cover_systems,
-    _randomisation_vectors,
     enumerate_circuit_randomisations,
     is_decomposable,
     is_valid_randomisation,
@@ -33,6 +32,7 @@ from circuitrand.unimodular import DirectedGraph
 
 import oracles
 from conftest import digraph_five
+from test_analysis_sim import hand_built_model
 
 
 def three_two_cycles():
@@ -343,7 +343,6 @@ def test_binary_support_search_matches_full_basis(name):
 
 def test_two_fifth_supports_without_the_full_basis():
     """2^5 has 76,368 circuits, too many to list; its binary ones are searched directly."""
-    _randomisation_vectors.cache_clear()
     start = time.perf_counter()
     model = to_contrast_form(factorial_two_level(5))
     vectors = randomisation_vectors(model)
@@ -380,3 +379,55 @@ def test_is_decomposable_input_checks(model_2cubed):
         is_decomposable(model_2cubed, [1.0, 0, 0, 0, 0, 0, 0, 1])
     with pytest.raises(TypeError):
         is_decomposable(model_2cubed, ["1", 0, 0, 0, 0, 0, 0, 1])
+
+
+def assert_decomposable_matches_brute_force(model):
+    """Check every nonzero 0/1 vector orthogonal to the contrasts.
+
+    A vector is decomposable exactly when some binary circuit of the
+    transposed contrast matrix, found by scanning every column subset, has
+    its support strictly inside the vector's support.
+    """
+    n, cols = model.n_runs, model.contrast.columns()
+    circuits = oracles.brute_circuit_vectors([list(c) for c in cols], n)
+    binary = [frozenset(i for i, x in enumerate(c) if x) for c in circuits if set(c) <= {0, 1}]
+    for bits in range(1, 1 << n):
+        support = frozenset(i for i in range(n) if bits >> i & 1)
+        if any(sum(col[i] for i in support) for col in cols):
+            continue
+        v = [int(i in support) for i in range(n)]
+        assert is_decomposable(model, v) == any(b < support for b in binary), sorted(support)
+
+
+@pytest.mark.parametrize(
+    "name", [k for k in sorted(CATALOG_DESIGNS) if CATALOG_DESIGNS[k]().n_runs <= 9]
+)
+def test_is_decomposable_matches_brute_force_on_catalog_models(name):
+    assert_decomposable_matches_brute_force(to_contrast_form(CATALOG_DESIGNS[name]()))
+
+
+@st.composite
+def small_models(draw):
+    """Zero-sum integer contrasts on up to 8 runs: some dependent, some with a zero row, q = 0."""
+    n = draw(st.integers(1, 8))
+    q = draw(st.integers(0, min(n - 1, 3)))
+    zero_row = n >= 2 and draw(st.booleans())
+    live = n - zero_row
+    raw = [draw(st.lists(st.integers(-2, 2), min_size=live, max_size=live)) for _ in range(q)]
+    cols = [[live * x - sum(col) for x in col] for col in raw]
+    if zero_row:
+        at = draw(st.integers(0, n - 1))
+        for col in cols:
+            col.insert(at, 0)
+    if cols and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        cols.append([k * a + b for a, b in zip(cols[0], cols[-1])])
+    return hand_built_model(n, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_models())
+# the block {1,5,8} is minimal and orthogonal but holds no circuit: only pairs are circuits
+@example(hand_built_model(8, [(1, -2, -2, 2, -2, 0, 2, 1)]))
+def test_is_decomposable_matches_brute_force(model):
+    assert_decomposable_matches_brute_force(model)

@@ -6,12 +6,12 @@ module under test calls it by, with a counter.
 
 import pytest
 
-from circuitrand import analysis_sim, contrast
+from circuitrand import analysis_sim, circuits, contrast
 from circuitrand.analysis_sim import CovarianceOrdering, covariance_comparison
 from circuitrand.contrast import to_contrast_form
 from circuitrand.design_catalog import factorial_two_level
 from circuitrand.exact_linalg import IntMatrix
-from circuitrand.randomisation import RandomisationSystem
+from circuitrand.randomisation import RandomisationSystem, is_decomposable
 
 
 @pytest.fixture
@@ -46,6 +46,15 @@ def test_a_valid_blocking_reduces_only_the_contrast_columns(count_reduce):
     calls = count_reduce(analysis_sim)
     assert covariance_comparison(model, z) == CovarianceOrdering.EQUAL
     assert len(calls) == model.n_contrasts
+
+
+def test_is_decomposable_searches_only_its_own_support(count_reduce):
+    """The search over all 32 runs of 2^5 makes 13,641 calls; the block's own 4 need few."""
+    model = to_contrast_form(factorial_two_level(5))
+    v = [int(i in (0, 31, 1, 30)) for i in range(32)]
+    calls = count_reduce(circuits)
+    assert is_decomposable(model, v)
+    assert len(calls) <= 50
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (1, 1), (3, 4), (4, 3)])
