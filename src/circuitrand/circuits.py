@@ -17,10 +17,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, isqrt, prod
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, _reduce, canonical_sign, rank
+from .exact_linalg import IntMatrix, canonical_sign, rank
 
 
 class NotInKernelError(ValueError):
@@ -100,29 +100,29 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
     ``a[:, I + {j}]`` is one-dimensional and its generator is nonzero on
     all of ``I + {j}``.  Depth-first search over linearly independent
     column sets ``I`` in increasing index order.  Each column carries a
-    unit part that tracks the combination of columns its reduction took:
+    unit part that tracks the combination of columns its elimination took:
     slot ``k`` for the ``k``-th column of ``I``, and the last slot for the
     column's own coefficient.  A node holds its pending columns, the
-    ``j > max(I)`` independent of ``I``, already reduced against the
-    echelon rows of ``I``.  Choosing a pending ``j`` moves its own
-    coefficient to slot ``len(I)`` and makes it the one new echelon row,
-    against which each later pending column is reduced once.  A later
-    column that reduces to zero in its first ``n_rows`` entries depends on
-    ``I + {j}``, and its unit part is the primitive kernel vector on
-    ``I + {j}`` and itself; it is a circuit exactly when its support is
-    all of that set, so each circuit is found once, through its largest
-    index.  The column then depends on every larger set too, where its
-    kernel vector is zero on the added columns, so it leaves the subtree.
-    The search is at most ``rank(a)`` deep, and two rules keep it from
-    visiting nodes that hold no circuit:
+    ``j > max(I)`` independent of ``I``, already eliminated at the pivots
+    of ``I``.  Choosing a pending ``j`` moves its own coefficient to slot
+    ``len(I)`` and makes it the one new pivot row, and each later pending
+    column takes one :func:`_step` against it.  A later column that
+    becomes zero in its first ``n_rows`` entries depends on ``I + {j}``,
+    and its unit part is a kernel vector on ``I + {j}`` and itself; it is
+    a circuit exactly when its support is all of that set, so each circuit
+    is found once, through its largest index, and is made primitive and
+    canonically signed then.  The column then depends on every larger set
+    too, where its kernel vector is zero on the added columns, so it
+    leaves the subtree.  The search is at most ``rank(a)`` deep, and two
+    rules keep it from visiting nodes that hold no circuit:
 
     - One column short of full rank, the quotient of the column space by
-      the span of ``I`` is a line, so every pending remainder is a
-      multiple of one direction and all share one pivot ``p``.  Each
+      the span of ``I`` is a line, so every pending column is a multiple
+      of one direction on the rows and all share one pivot ``p``.  Each
       pair ``c < l`` of pending columns then closes exactly one
       dependency, ``w_c[p] * w_l - w_l[p] * w_c``, which is a circuit
       exactly when it is nonzero on every slot of ``I``.  These pairs are
-      closed directly, with no node and no reduction per child; a rank-one
+      closed directly, with no node and no step per child; a rank-one
       matrix takes this path at the root.
     - Every vector formed below a node is an integer combination
       ``sum(z_p * w_p)`` of its pending columns, so its coefficient on the
@@ -132,77 +132,101 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
       ``I``, and only when it has two pending columns, one to choose and
       one to close a dependency.
 
-    Each ``(I, j)`` pair above the last level costs one reduction by one
-    row.
+    Each ``(I, j)`` pair above the last level costs one step by one row.
+
+    A column is one integer of signed ``W``-bit fields, as packed by
+    :func:`_packing`: the ``n_rows`` rows, the ``rank(a)`` slots, then the
+    own coefficient.  The steps are fraction-free (Bareiss), so every
+    field of a pending column with ``k`` columns chosen is, up to sign, a
+    minor of ``a`` on the chosen columns and at most one more: a row is
+    the ``(k + 1)``-minor on the chosen pivot rows and that row, a slot
+    the ``k``-minor that leaves its chosen column out, and the own
+    coefficient the ``k``-minor of ``I`` itself.  A pair's combination
+    divided by the last pivot, which is exact for the same reason, has
+    the same ``rank(a)``-minors in its slots.  Each is at most Hadamard's
+    bound, the product of the ``rank(a)`` largest column norms, which is
+    what ``W`` holds; a product formed inside a step may overflow its
+    field, but packing is linear and the exact quotient fits again.  The
+    fields that are tested and read are those of a stored column or a
+    divided pair, so a nonzero test is one mask for all the slots, and
+    the lowest set bit of a column finds its pivot.
     """
     m, n = a.n_rows, a.n_cols
+    cols = a.columns()
     depth = rank(a)
-    # I has at most depth columns, plus the slot of the column itself
-    own = (0,) * depth + (1,)
+    width, half, mask, high, low = _packing(cols, depth, m + depth + 1)
+    rows = (1 << width * m) - 1
+    own = 1 << width * (m + depth)
+    # slots[k]: the top bit of each of the first k slots; moves[k] takes
+    # the own coefficient, the last pivot in every pending column, to slot k
+    slots = [high & ((1 << width * (m + k)) - 1) & ~rows for k in range(depth + 1)]
+    moves = [(1 << width * (m + k)) - own for k in range(depth)]
     chosen: list[int] = []
     vectors: list[tuple[int, ...]] = []
 
-    def emit(support: Sequence[int], coefficients: Sequence[int]) -> None:
+    def full(t: int, need: int) -> bool:
+        # are the fields of t, in two's complement, nonzero wherever need is set?
+        return (((t & low) + low) | t) & need == need
+
+    def emit(support: Sequence[int], v: int, tail: list[int]) -> None:
+        # the coefficients of chosen are the slots of v, and tail follows them
+        v += high
+        coefficients = [(v >> width * f & mask) - half for f in range(m, m + len(chosen))] + tail
+        g = gcd(*coefficients)
         u = [0] * n
         for i, x in zip(support, coefficients):
-            u[i] = x
+            u[i] = x // g
         vectors.append(canonical_sign(u))
 
-    def close(j: int, v: tuple[int, ...]) -> None:
-        # v is zero in its first m entries: a kernel vector on chosen + {j}
-        if len(v) - v.count(0) == len(chosen) + 1:
-            emit((*chosen, j), (*v[m : m + len(chosen)], v[-1]))
+    def close_pairs(pending: list, prev: int) -> None:
+        need = slots[len(chosen)]
+        first = pending[0][1]
+        shift = ((first & -first).bit_length() - 1) // width * width
+        parts = [(j, ((v + high) >> shift & mask) - half, v) for j, v in pending]
+        for k, (c, f_c, w_c) in enumerate(parts):
+            for l, f_l, w_l in parts[k + 1 :]:
+                # zero on every row.  The own field mixes c's and l's and
+                # may outgrow the width, but it is the top field: never read
+                u = (f_c * w_l - f_l * w_c) // prev
+                if full((u + high) ^ high, need):
+                    emit((*chosen, c, l), u, [-f_l, f_c])
 
-    def close_pairs(pending: list) -> None:
-        slots = slice(m, m + len(chosen))
-        p = pending[0][1][0]
-        parts = [(j, v[p], v[slots], v[-1]) for j, (_, v) in pending]
-        for k, (c, f_c, s_c, o_c) in enumerate(parts):
-            for l, f_l, s_l, o_l in parts[k + 1 :]:
-                # f_c * w_l - f_l * w_c on the slots of chosen, then c and l
-                u = [f_c * y - f_l * x for x, y in zip(s_c, s_l)]
-                if all(u):
-                    u += (-f_l * o_c, f_c * o_l)
-                    g = gcd(*u)
-                    emit((*chosen, c, l), [x // g for x in u])
-
-    def search(pending: list) -> None:
-        # pending is never empty here: at rank one the root holds a nonzero
-        # column, and a node is entered only with two
+    def search(pending: list, prev: int) -> None:
+        # pending is never empty here: the root holds a nonzero column, and
+        # a node is entered only with two
         if len(chosen) + 1 == depth:
-            close_pairs(pending)
+            close_pairs(pending, prev)
             return
-        slot = m + len(chosen)
-        for k, (j, (pivot, v)) in enumerate(pending):
-            row = [*v[:-1], 0]
-            row[slot] = v[-1]
-            step = [(pivot, row)]
+        move, need = moves[len(chosen)], slots[len(chosen) + 1]
+        for k, (j, r) in enumerate(pending):
+            shift = ((r & -r).bit_length() - 1) // width * width
+            p = ((r + high) >> shift & mask) - half
+            r += prev * move
             chosen.append(j)
             children = []
-            for later, reduced in pending[k + 1 :]:
-                w = reduced[1]
-                if w[pivot]:
-                    # the own coefficient survives, so this is never None
-                    reduced = _reduce(w, step)
-                    if reduced[0] >= m:
-                        close(later, reduced[1])
-                        continue
-                children.append((later, reduced))
+            seen = 0
+            for later, w in pending[k + 1 :]:
+                w = _step(w, ((w + high) >> shift & mask) - half, r, p, prev)
+                t = (w + high) ^ high
+                if w & rows:
+                    children.append((later, w))
+                    seen |= t
+                elif full(t, need):
+                    emit((*chosen, later), w, [p])
             # does some child have a nonzero entry in every slot of chosen?
-            if len(children) > 1 and all(
-                map(any, zip(*[w[m : slot + 1] for _, (_, w) in children]))
-            ):
-                search(children)
+            if len(children) > 1 and full(seen, need):
+                search(children, p)
             chosen.pop()
 
     pending = []
-    for j, col in enumerate(a.columns()):
-        reduced = _reduce(col + own, [])
-        if reduced[0] < m:
-            pending.append((j, reduced))
+    for j, col in enumerate(cols):
+        v = sum(x << width * i for i, x in enumerate(col)) + own
+        if v & rows:
+            pending.append((j, v))
         else:
-            close(j, reduced[1])
-    search(pending)
+            emit((j,), v, [1])
+    if pending:
+        search(pending, 1)
     vectors.sort()
     return CircuitBasis(matrix=a, circuits=tuple(map(Circuit, vectors)))
 
@@ -217,40 +241,52 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
     search over independent sets ``I`` in increasing index order, at most
     ``rank(a)`` deep, carrying the running column sum.  As in
     :func:`circuit_basis`, a node holds its pending columns, the
-    ``j > max(I)`` independent of ``I`` reduced against the echelon rows
-    of ``I``, with no unit part; choosing one reduces each later pending
-    column against its row once, and a column that becomes dependent
-    leaves the subtree.  A full-rank ``I`` has no children, so a node one
-    column short of full rank reduces only the columns that close a
-    circuit.  Each node looks ``-sum(I)`` up among the columns, so every
-    circuit is found once, through its largest index, and the empty ``I``
-    finds the zero columns.
+    ``j > max(I)`` independent of ``I`` eliminated at the pivots of ``I``,
+    here with no unit part; choosing one takes each later pending column
+    one :func:`_step` against it, and a column that becomes zero is
+    dependent and leaves the subtree.  A full-rank ``I`` has no children,
+    so a node one column short of full rank steps only the columns that
+    close a circuit.  Each node looks ``-sum(I)`` up among the columns, so
+    every circuit is found once, through its largest index, and the empty
+    ``I`` finds the zero columns.
 
-    A column is keyed by packing it into one integer of ``W``-bit fields:
-    row ``r`` goes in field ``r`` and its negation in field ``m + r``, ``m``
-    the row count.  The key is linear, so the running sum costs one integer
-    add per child and ``-sum(I)`` is looked up as one integer.  It also
-    bounds every row at once.  Below a node that has just chosen ``j``,
-    with ``k`` columns chosen and packed sum ``K``, a circuit adds at most
-    ``t = rank(a) + 1 - k`` columns past ``j``, and they sum to ``-K``.  So
-    each row needs ``K_r + hi_r >= 0`` and ``-K_r - lo_r >= 0``, where
-    ``hi_r`` and ``lo_r`` are the largest and smallest sums of at most
-    ``t`` entries of row ``r`` among the columns ``s = j + 1`` onwards.
-    ``reach[s][t]`` packs ``hi_r`` in field ``r`` and ``-lo_r`` in field
-    ``m + r``, plus ``guard``, the top bit of every field, so each field of
-    ``K + reach[s][t]`` holds one of those differences biased by
-    ``2**(W - 1)``.  A node reduces its children only when
-    ``(K + reach[j + 1][t]) & guard == guard``: one add and one mask test
-    every row from both sides.  The test runs one column short of full
-    rank too, where a cut saves a look-up per child.
+    A pending column is one integer of signed ``W``-bit fields, one per
+    row, as packed by :func:`_packing`.  The steps are fraction-free
+    (Bareiss), so with ``k`` columns chosen each field is, up to sign, the
+    ``(k + 1)``-minor of ``a`` on the chosen columns and the column itself,
+    and the division in each step is exact by Sylvester's identity.  No
+    column is stepped past ``k = rank(a) - 1``, so every field is at most
+    Hadamard's bound, the product of the ``rank(a)`` largest column norms,
+    which is what ``W`` holds; a product formed inside a step may overflow
+    its field, but packing is linear and the exact quotient fits again.
+    So a column is dependent exactly when its integer is zero, and the
+    lowest set bit finds its pivot.
 
-    The width makes the test exact.  Every field of a sum formed above,
-    keys included, lies within ``M = (rank(a) + 1) * max|a|`` of zero, and
-    ``W = (2 * M + 1).bit_length() + 1`` keeps it below ``2**(W - 2)`` in
-    magnitude.  Biased by ``2**(W - 1)``, such a field stays inside
-    ``[0, 2**W)``, so no field borrows from or carries into the next, the
-    packing is unique, and the top bit of a biased field is set exactly
-    when the field is nonnegative.
+    The sum keys are a second packing.  A column is keyed by one integer
+    of ``K``-bit fields: row ``r`` goes in field ``r`` and its negation in
+    field ``m + r``, ``m`` the row count.  The key is linear, so the
+    running sum costs one integer add per child and ``-sum(I)`` is looked
+    up as one integer.  It also bounds every row at once.  Below a node
+    that has just chosen ``j``, with ``k`` columns chosen and packed sum
+    ``S``, a circuit adds at most ``t = rank(a) + 1 - k`` columns past
+    ``j``, and they sum to ``-S``.  So each row needs ``S_r + hi_r >= 0``
+    and ``-S_r - lo_r >= 0``, where ``hi_r`` and ``lo_r`` are the largest
+    and smallest sums of at most ``t`` entries of row ``r`` among the
+    columns ``s = j + 1`` onwards.  ``reach[s][t]`` packs ``hi_r`` in
+    field ``r`` and ``-lo_r`` in field ``m + r``, plus ``guard``, the top
+    bit of every field, so each field of ``S + reach[s][t]`` holds one of
+    those differences biased by ``2**(K - 1)``.  A node steps its children
+    only when ``(S + reach[j + 1][t]) & guard == guard``: one add and one
+    mask test every row from both sides.  The test runs one column short
+    of full rank too, where a cut saves a look-up per child.
+
+    The key width makes the test exact.  Every field of a sum formed
+    above, keys included, lies within ``M = (rank(a) + 1) * max|a|`` of
+    zero, and ``K = (2 * M + 1).bit_length() + 1`` keeps it below
+    ``2**(K - 2)`` in magnitude.  Biased by ``2**(K - 1)``, such a field
+    stays inside ``[0, 2**K)``, so no field borrows from or carries into
+    the next, the packing is unique, and the top bit of a biased field is
+    set exactly when the field is nonnegative.
 
     The vectors come back in ascending lexicographic order: the list
     ``[c.vector for c in binary_circuits(circuit_basis(a))]``.
@@ -258,14 +294,15 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
     m, n = a.n_rows, a.n_cols
     cols = a.columns()
     depth = rank(a)
+    width, half, mask, high, _ = _packing(cols, depth, m)
     big = max((abs(x) for col in cols for x in col), default=0)
-    width = (2 * (depth + 1) * big + 1).bit_length() + 1
-    shifts = [width * f for f in range(2 * m)]
-    guard = sum(1 << (s + width - 1) for s in shifts)
+    key_width = (2 * (depth + 1) * big + 1).bit_length() + 1
+    shifts = [key_width * f for f in range(2 * m)]
+    guard = sum(1 << (s + key_width - 1) for s in shifts)
     keys = []
     for col in cols:
         packed = sum(x << s for x, s in zip(col, shifts))
-        keys.append(packed - (packed << (width * m)))
+        keys.append(packed - (packed << (key_width * m)))
     where: dict[int, list[int]] = {}
     for j, key in enumerate(keys):
         where.setdefault(-key, []).append(j)
@@ -279,8 +316,8 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
             v[i] = 1
         vectors.append(tuple(v))
 
-    def search(total: int, pending: list) -> None:
-        for k, (j, (pivot, v)) in enumerate(pending):
+    def search(total: int, pending: list, prev: int) -> None:
+        for k, (j, r) in enumerate(pending):
             grown = total + keys[j]
             chosen.append(j)
             for c in where.get(grown, ()):
@@ -288,33 +325,77 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
                     emit(c)
             t = depth + 1 - len(chosen)
             if t > 1 and (grown + reach[j + 1][t]) & guard == guard:
-                step = [(pivot, v)]
+                shift = ((r & -r).bit_length() - 1) // width * width
+                p = ((r + high) >> shift & mask) - half
                 last = t == 2
                 children = []
-                for later, reduced in pending[k + 1 :]:
+                for later, w in pending[k + 1 :]:
                     # a full-rank child has no children, so unless it closes
                     # a circuit (a later column in the ascending where list)
                     # its independence test is wasted
                     if last and where.get(grown + keys[later], [-1])[-1] <= later:
                         continue
-                    if reduced[1][pivot]:
-                        reduced = _reduce(reduced[1], step)
-                        if reduced is None:
-                            continue
-                    children.append((later, reduced))
-                search(grown, children)
+                    w = _step(w, ((w + high) >> shift & mask) - half, r, p, prev)
+                    if w:
+                        children.append((later, w))
+                search(grown, children, p)
             chosen.pop()
 
     for c in where.get(0, ()):
         emit(c)
     pending = []
     for j, col in enumerate(cols):
-        reduced = _reduce(col, [])
-        if reduced is not None:
-            pending.append((j, reduced))
-    search(0, pending)
+        v = sum(x << width * i for i, x in enumerate(col))
+        if v:
+            pending.append((j, v))
+    search(0, pending, 1)
     vectors.sort()
     return vectors
+
+
+def _packing(
+    cols: Sequence[tuple[int, ...]], depth: int, fields: int
+) -> tuple[int, int, int, int, int]:
+    """Field width and masks for columns of ``fields`` signed fields.
+
+    A vector ``v`` packs as ``sum(v[f] << W * f)``, with no bias, so
+    packing is linear.  ``W`` is one bit wider than Hadamard's bound on
+    the minors of ``cols`` with at most ``depth`` columns, the product of
+    the ``depth`` largest column norms, so a field ``x`` within that bound
+    satisfies ``-2**(W - 1) < x < 2**(W - 1)``.  Adding
+    ``high``, the top bit of every field, biases each such field into
+    ``[0, 2**W)`` with no borrow between fields: field ``f`` of ``v``
+    reads as ``((v + high) >> W * f & (2**W - 1)) - 2**(W - 1)``, and
+    ``(v + high) ^ high`` holds every field in ``W``-bit two's complement,
+    zero exactly where ``v`` is.  With ``low = high - ones``, ``ones``
+    the low bit of every field, a field ``t`` in two's complement is
+    nonzero exactly when the top bit of ``((t & low) + low) | t`` is set.
+    Returns ``(W, 2**(W - 1), 2**W - 1, high, low)``.
+    """
+    norms = sorted((sum(x * x for x in col) for col in cols), reverse=True)
+    width = isqrt(prod(norms[:depth])).bit_length() + 1
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    ones = ((1 << width * fields) - 1) // mask
+    return width, half, mask, ones * half, ones * (half - 1)
+
+
+def _step(column: int, q: int, row: int, p: int, prev: int) -> int:
+    """One fraction-free elimination step on packed columns, by one row.
+
+    ``row`` is the packed column chosen last and ``p`` its entry at its
+    pivot, ``q`` is the entry of ``column`` at that pivot, and ``prev`` the
+    pivot entry of the column chosen before (1 at the root).  Returns
+    ``(p * column - q * row) // prev``, which is zero at the pivot.  By
+    Sylvester's identity every field of the result is a minor of the
+    chosen columns and ``column``, so the division is exact (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 1968).  That holds only when every pending
+    column has taken every step, so a column with ``q == 0`` is rescaled
+    to ``p * column // prev`` all the same.
+    """
+    if q:
+        return (p * column - q * row) // prev
+    return p * column // prev
 
 
 def _reach(

@@ -6,12 +6,14 @@ determinants, kernels and solves are exact at any magnitude.  Matrices are
 small dense tuples of tuples; the library targets design matrices with at
 most a few thousand entries, not bulk numerics.
 
-There is one elimination step, :func:`_reduce`: reduce a column against the
-independent columns kept before it.  Rank and pivot columns count the
-columns it keeps.  With a unit vector appended to each column, it also
+The dense algebra has one elimination step, :func:`_reduce`: reduce a
+column against the independent columns kept before it, to a primitive
+remainder that can be read entry by entry.  Rank and pivot columns count
+the columns it keeps.  With a unit vector appended to each column, it also
 records the combination of columns that it took, which gives kernel
 vectors, solves and the determinant.  The circuit searches in
-:mod:`circuitrand.circuits` take the same step, one echelon row at a time.
+:mod:`circuitrand.circuits` read a remainder only when it closes a
+circuit, so they take a fraction-free step on packed columns instead.
 """
 
 from __future__ import annotations
@@ -132,10 +134,7 @@ def _reduce(
     row operation leaves zero exactly when ``v`` lies in their span;
     otherwise the primitive remainder, with its first nonzero coordinate as
     pivot, extends the form by one row.  A remainder that is already
-    primitive comes back undivided.  Dividing by the positive gcd between
-    rows scales every later step by the same factor, so reducing against
-    the rows one call at a time, as the circuit searches do, gives the same
-    primitive remainder as one call against them all.
+    primitive comes back undivided.
     """
     for p, row in echelon:
         f = v[p]

@@ -4,6 +4,7 @@ import pytest
 
 from circuitrand import (
     choice_k_of_2k,
+    circuits,
     digraph_design,
     enumerate_circuit_randomisations,
     factorial_two_level,
@@ -23,6 +24,25 @@ DIGRAPH_EDGES = [
 
 def digraph_five() -> DirectedGraph:
     return DirectedGraph.from_edges([(a - 1, b - 1) for a, b in DIGRAPH_EDGES], 5)
+
+
+@pytest.fixture
+def count_steps(monkeypatch):
+    """Count the circuit searches' steps that clear a nonzero entry.
+
+    A step with ``q == 0`` only rescales its column, so it is not counted:
+    the counted steps are those that reduce a column by a row.
+    """
+    calls = []
+    step = circuits._step
+
+    def counted(column, q, row, p, prev):
+        if q:
+            calls.append(None)
+        return step(column, q, row, p, prev)
+
+    monkeypatch.setattr(circuits, "_step", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -157,6 +158,74 @@ def test_binary_circuit_search_matches_oracle_at_the_field_limit(drawn):
     assert vectors == [v for v in brute if set(v) <= {0, 1}]
 
 
+HADAMARD = {
+    1: [[1]],
+    2: [[1, 1], [1, -1]],
+    4: [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
+}
+
+
+@st.composite
+def matrices_at_the_hadamard_bound(draw):
+    """Matrices whose minors reach Hadamard's bound on their column norms.
+
+    A +-1 Hadamard block of order 1, 2 or 4, scaled by up to 10**4 and set
+    in some of 0 to 5 rows, has orthogonal columns of one norm whose minor
+    on the block's rows is the product of their norms, the bound that the
+    circuit searches size their packed fields by.  Zero, copied, negated
+    and closing columns ride along, and so do random columns with entries
+    up to half the scale.  No block gives 0 rows or rank 0; a block of order
+    one gives rank 1, where the basis closes its pairs at the root.
+    """
+    n_rows = draw(st.integers(0, 5))
+    order = draw(st.sampled_from([o for o in (0, 1, 2, 4) if o <= n_rows]))
+    scale = draw(st.one_of(st.sampled_from([1, 2, 10**4]), st.integers(1, 10**4)))
+    offset = draw(st.integers(0, n_rows - order))
+    block = HADAMARD.get(order, [])
+    cols = [
+        [scale * block[r - offset][j] if offset <= r < offset + order else 0 for r in range(n_rows)]
+        for j in range(order)
+    ]
+    base = list(cols)
+    kinds = ["zero", "copy", "negate", "close", "random"] if base else ["zero"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=4)):
+        if kind == "zero":
+            cols.append([0] * n_rows)
+        elif kind == "random":
+            entry = st.integers(-scale // 2, scale // 2)
+            cols.append(draw(st.lists(entry, min_size=n_rows, max_size=n_rows)))
+        else:
+            size = 3 if kind == "close" else 1
+            picked = draw(st.lists(st.sampled_from(base), min_size=1, max_size=size))
+            total = [sum(c[r] for c in picked) for r in range(n_rows)]
+            cols.append(total if kind == "copy" else [-x for x in total])
+    cols = draw(st.permutations(cols))
+    return [[c[r] for c in cols] for r in range(n_rows)], len(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_at_the_hadamard_bound())
+# the order-4 block's determinant 16 is the product of the column norms:
+# with fields one bit narrower it reads as -16 and the basis goes wrong,
+# and so it does when a column with a zero entry at a pivot is not rescaled
+@example(([[1, 1, 1, 1, 1], [1, -1, 1, -1, 1], [1, 1, -1, -1, -1], [1, -1, -1, 1, 1]], 5))
+# Hadamard's bound here is sqrt(2) * 1, so the fields hold entries up to 1:
+# with one bit fewer an entry of 1 is misread and both searches go wrong
+@example(([[0, 0, 0, 1, 0], [1, -1, 0, 1, 1]], 5))
+# columns 0 and 2 are orthogonal, so their 2-minor -4 * 10**8 is their
+# norm product: with fields one bit narrower the basis goes wrong
+@example(([[10**4, 10**4, -2 * 10**4, 10**4], [10**4, -10**4, 2 * 10**4, -10**4]], 4))
+@example(([], 3))
+@example(([[0, 0], [0, 0]], 2))
+@example(([[2, -2, 0, 4]], 4))
+def test_circuit_searches_match_oracle_at_the_hadamard_bound(drawn):
+    rows, n_cols = drawn
+    m = IntMatrix.from_rows(rows, n_cols=n_cols)
+    brute = oracles.brute_circuit_vectors(rows, n_cols)
+    assert circuit_basis(m).vectors() == brute
+    assert binary_circuit_vectors(m) == [v for v in brute if set(v) <= {0, 1}]
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices_with_related_columns())
 def test_circuit_basis_matches_oracle_on_related_columns(drawn):
@@ -216,28 +285,55 @@ def test_circuit_basis_is_equivariant_under_column_permutation(data):
     assert circuit_basis(IntMatrix.from_rows(permuted, n_cols=n_cols)).vectors() == expected
 
 
-# sha256 of the circuit listing of each contrast transpose, one vector per
-# line with entries separated by spaces, as first computed by a subset scan
+def _transposed_contrast(design) -> IntMatrix:
+    return to_contrast_form(design).contrast.transpose()
+
+
+# sha256 of the circuit listing of each matrix, one vector per line with
+# entries separated by spaces.  The catalog contrast transposes were first
+# computed by a subset scan.  The generic 5x13 matrix, entries in -2..2,
+# and the incidence matrix of an oriented 7-vertex graph with 18 edges are
+# the two input classes of the basis-mixed benchmark workload; the generic
+# one is where fraction-free and primitive remainders differ most
 PINNED_BASES = {
     "2^4": (
-        lambda: factorial_two_level(4),
+        lambda: _transposed_contrast(factorial_two_level(4)),
         456,
         "b7d937c28aae7316c6303deddf6f28d33bc39a684f6e847642f4fb9e235987bf",
     ),
     "digraph5": (
-        lambda: digraph_design(digraph_five()),
+        lambda: _transposed_contrast(digraph_design(digraph_five())),
         198,
         "11f6b69f48650bcf4fc0c3c6ceb05a3ff158f317a4153a9652036c19326696be",
     ),
     "choice k=3": (
-        lambda: choice_k_of_2k(3),
+        lambda: _transposed_contrast(choice_k_of_2k(3)),
         1210,
         "7f9e6c6c2268a16d98d00c90bd36cc3e2f215c3e6bcb666b655cf697347ee66c",
     ),
     "anova 4x4": (
-        lambda: anova_two_way(4, 4),
+        lambda: _transposed_contrast(anova_two_way(4, 4)),
         460,
         "1466efd1abd088b9c4270561f58eeea70d6ba2cee97f94291225ab17fe35c715",
+    ),
+    "generic 5x13": (
+        lambda: IntMatrix.from_rows([
+            [1, 0, 0, 2, -1, 0, -2, -2, 0, -1, -1, -2, 0],
+            [1, 0, -1, -1, -2, 2, -1, -2, -2, 0, 2, 2, -2],
+            [1, 1, -2, -2, -1, 0, 1, 1, -1, 2, -2, 0, 1],
+            [0, 0, 2, -1, -2, 1, -2, -2, 0, 1, -2, 1, 2],
+            [-2, 1, -1, 2, 2, 1, 0, 2, -1, 2, -1, 2, 0],
+        ]),
+        1639,
+        "7230df17e8344520c92ddd2bfe7a604fde06f655df3b5945a4912b85fac65752",
+    ),
+    "incidence 7": (
+        lambda: incidence_matrix(DirectedGraph.from_edges([
+            (2, 4), (2, 1), (5, 1), (3, 6), (3, 0), (6, 0), (1, 3), (0, 4), (4, 5),
+            (4, 6), (2, 3), (6, 2), (2, 0), (3, 4), (1, 0), (6, 1), (2, 5), (5, 6),
+        ], 7)),
+        436,
+        "42a57b8e6adb505475c7e39b6bbcb211f2b682f89c6c5d775db11efc97cbcc63",
     ),
 }
 
@@ -249,56 +345,45 @@ def _digest(vectors):
 
 @pytest.mark.parametrize("name", PINNED_BASES)
 def test_catalog_circuit_bases_are_pinned(name):
-    design, count, digest = PINNED_BASES[name]
-    vectors = circuit_basis(to_contrast_form(design()).contrast.transpose()).vectors()
+    matrix, count, digest = PINNED_BASES[name]
+    vectors = circuit_basis(matrix()).vectors()
     assert len(vectors) == count
     assert _digest(vectors) == digest
 
 
 def test_each_reduction_takes_at_most_one_row(monkeypatch):
-    # the searches carry reduced columns down the tree, so every (I, j)
-    # pair is reduced against the one echelon row that the last pick added
-    rows_per_call = []
-    reduce = circuits._reduce
+    # the searches carry eliminated columns down the tree, so every (I, j)
+    # pair takes one step against the one pivot row that the last pick
+    # added.  A step takes a single packed row, so it cannot take more
+    assert list(inspect.signature(circuits._step).parameters) == ["column", "q", "row", "p", "prev"]
+    rows = []
+    step = circuits._step
 
-    def recording(v, echelon):
-        rows_per_call.append(len(echelon))
-        return reduce(v, echelon)
+    def recording(column, q, row, p, prev):
+        rows.append(row)
+        return step(column, q, row, p, prev)
 
-    monkeypatch.setattr(circuits, "_reduce", recording)
+    monkeypatch.setattr(circuits, "_step", recording)
     for name in ("anova 4x4", "digraph5"):
-        design, count, digest = PINNED_BASES[name]
-        ct = to_contrast_form(design()).contrast.transpose()
+        matrix, count, digest = PINNED_BASES[name]
+        ct = matrix()
         basis = circuit_basis(ct)
         assert len(basis) == count
         assert _digest(basis.vectors()) == digest
         assert binary_circuit_vectors(ct) == [c.vector for c in binary_circuits(basis)]
-    assert rows_per_call
-    assert max(rows_per_call) <= 1
+    assert rows
+    assert all(type(row) is int for row in rows)
 
 
-def _counted_reductions(monkeypatch) -> list:
-    calls = []
-    reduce = circuits._reduce
-
-    def counting(v, echelon):
-        calls.append(None)
-        return reduce(v, echelon)
-
-    monkeypatch.setattr(circuits, "_reduce", counting)
-    return calls
-
-
-def test_complete_graph_basis_skips_nodes_that_hold_no_circuit(monkeypatch):
+def test_complete_graph_basis_skips_nodes_that_hold_no_circuit(count_steps):
     # the circuits of K7 are its cycles: C(7, k) vertex sets of size k, each
     # carrying (k - 1)! / 2 cycles.  Making every pending column a node and
     # entering every subtree takes 41,827 reductions here; closing the last
-    # level in pairs and skipping dead subtrees takes 8,853
-    calls = _counted_reductions(monkeypatch)
+    # level in pairs and skipping dead subtrees takes 8,832
     edges = [(i, j) for i in range(7) for j in range(i + 1, 7)]
     basis = circuit_basis(incidence_matrix(DirectedGraph.from_edges(edges, 7)))
     assert len(basis) == sum(comb(7, k) * factorial(k - 1) // 2 for k in range(3, 8)) == 1172
-    assert len(calls) <= 10_000
+    assert len(count_steps) <= 10_000
 
 
 def _permutation_matrices(size: int) -> list[tuple[int, ...]]:
@@ -310,15 +395,14 @@ def _permutation_matrices(size: int) -> list[tuple[int, ...]]:
 
 
 @pytest.mark.parametrize("size, bound", [(4, 600), (5, 5_000)])
-def test_anova_binary_search_cuts_unreachable_rows(monkeypatch, size, bound):
+def test_anova_binary_search_cuts_unreachable_rows(count_steps, size, bound):
     # the binary circuits of anova IxI are the I! permutation matrices.
     # Reducing every independent set of up to rank - 1 columns takes 5,816
     # reductions at 4x4 and 542,442 at 5x5; cutting the nodes where some row
-    # of -sum(I) is out of reach takes 370 and 2,735
-    calls = _counted_reductions(monkeypatch)
+    # of -sum(I) is out of reach takes 354 and 2,710
     ct = to_contrast_form(anova_two_way(size, size)).contrast.transpose()
     assert binary_circuit_vectors(ct) == _permutation_matrices(size)
-    assert len(calls) <= bound
+    assert len(count_steps) <= bound
 
 
 def test_anova_six_by_six_binary_circuits():
