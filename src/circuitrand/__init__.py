@@ -55,7 +55,6 @@ from .exact_linalg import (
     IntMatrix,
     NonSquareError,
     SingularError,
-    determinant,
     kernel_basis,
     rank,
     rational_solve,
@@ -115,7 +114,6 @@ __all__ = [
     "circuit_basis",
     "conformal_decompose",
     "covariance_comparison",
-    "determinant",
     "digraph_design",
     "empirical_contrast_check",
     "enumerate_circuit_randomisations",

@@ -154,7 +154,7 @@ def block_shift_invariance(
 def _validate_indicators(model: ContrastModel, z: IntMatrix) -> None:
     if z.n_rows != model.n_runs:
         raise DimensionMismatchError("indicator row count does not match the model")
-    if any(x not in (0, 1) for row in z.rows for x in row):
+    if not set().union(*z.rows) <= {0, 1}:
         raise ValueError("block indicators must be 0/1")
 
 
@@ -203,10 +203,11 @@ def covariance_comparison(model: ContrastModel, z: IntMatrix) -> CovarianceOrder
         if reduced is None:
             raise RankDeficientError("the contrast columns are linearly dependent")
         echelon.append(reduced)
-    blocks = [[i for i, x in enumerate(b) if x] for b in z.columns()]
+    columns = z.columns()
+    blocks = [[i for i, x in enumerate(b) if x] for b in columns]
     if _block_violation(model, blocks) is None:
         return CovarianceOrdering.EQUAL
-    for col, block in zip(z.columns(), blocks):
+    for col, block in zip(columns, blocks):
         reduced = _reduce(col, echelon)
         if reduced is not None:
             if _block_violation(model, [block]) is not None:

@@ -49,7 +49,7 @@ from .design_catalog import (
     digraph_design,
     factorial_two_level,
 )
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _trusted_matrix
 from .randomisation import (
     RandomisationSystem,
     _block_violation,
@@ -115,10 +115,11 @@ def parse_matrix_text(text: str) -> IntMatrix:
         values = [int(tok) for tok in tokens]
     except ValueError as exc:
         raise ValueError(f"matrix entries must be integers: {exc}") from None
-    rows = [
+    # the entries are ints and the token count fixed the shape
+    rows = tuple(
         tuple(values[i * n_cols : (i + 1) * n_cols]) for i in range(n_rows)
-    ]
-    return IntMatrix.from_rows(rows, n_cols=n_cols)
+    )
+    return _trusted_matrix(n_rows, n_cols, rows)
 
 
 def format_matrix_text(matrix: IntMatrix) -> str:

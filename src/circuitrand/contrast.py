@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, _reduce
+from .exact_linalg import IntMatrix, _from_columns, _reduce
 
 
 class JNotInColumnSpaceError(ValueError):
@@ -73,10 +73,6 @@ class ContrastModel:
     def n_contrasts(self) -> int:
         return self.contrast.n_cols
 
-    def model_matrix(self) -> IntMatrix:
-        """The full model matrix ``[j : contrast]`` with the ones column first."""
-        return IntMatrix.from_rows(((1, *row) for row in self.contrast.rows), n_cols=1)
-
 
 def to_contrast_form(design: DesignModel) -> ContrastModel:
     """Rewrite a design model in contrast form.
@@ -107,7 +103,7 @@ def to_contrast_form(design: DesignModel) -> ContrastModel:
             contrasts.append(tuple(v // g for v in w))
     if all(p < n for p, _ in echelon):
         raise JNotInColumnSpaceError("the all-ones vector is not in the column space")
-    return ContrastModel(IntMatrix.from_rows(contrasts, n_cols=n).transpose())
+    return ContrastModel(_from_columns(contrasts, n))
 
 
 def empirical_contrast_check(coefficients: Sequence) -> bool:

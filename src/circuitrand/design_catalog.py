@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .contrast import DesignModel
-from .exact_linalg import IntMatrix
+from .exact_linalg import _trusted_matrix
 from .randomisation import RandomisationSystem
 from .unimodular import DirectedGraph, incidence_matrix, is_eulerian_balanced
 
@@ -49,7 +49,7 @@ def factorial_two_level(k: int) -> DesignModel:
         rows.append((1, *signs))
         labels.append("".join("+" if s > 0 else "-" for s in signs))
     return DesignModel(
-        matrix=IntMatrix.from_rows(rows, n_cols=k + 1),
+        matrix=_trusted_matrix(n, k + 1, tuple(rows)),
         run_labels=tuple(labels),
         param_labels=("1",) + tuple(string.ascii_uppercase[:k]),
     )
@@ -76,7 +76,7 @@ def anova_two_way(n_rows: int, n_cols: int) -> DesignModel:
             )
             labels.append(f"r{i + 1}c{j + 1}")
     return DesignModel(
-        matrix=IntMatrix.from_rows(rows, n_cols=n_rows + n_cols),
+        matrix=_trusted_matrix(n_rows * n_cols, n_rows + n_cols, tuple(rows)),
         run_labels=tuple(labels),
         param_labels=tuple(f"a{r + 1}" for r in range(n_rows))
         + tuple(f"b{c + 1}" for c in range(n_cols)),
@@ -98,7 +98,7 @@ def choice_k_of_2k(k: int) -> DesignModel:
     subsets = list(combinations(range(2 * k), k))
     rows = [tuple(int(a in s) for a in range(2 * k)) for s in subsets]
     return DesignModel(
-        matrix=IntMatrix.from_rows(rows, n_cols=2 * k),
+        matrix=_trusted_matrix(n, 2 * k, tuple(rows)),
         run_labels=tuple(",".join(str(a + 1) for a in s) for s in subsets),
         param_labels=tuple(str(a + 1) for a in range(2 * k)),
     )
@@ -197,7 +197,7 @@ def digraph_design(g: DirectedGraph) -> DesignModel:
     if not is_eulerian_balanced(g):
         raise NotBalancedError("every vertex must have equal in- and out-degree")
     inc_t = incidence_matrix(g).transpose()
-    ones = IntMatrix.from_rows(((1,) for _ in range(g.n_edges)), n_cols=1)
+    ones = _trusted_matrix(g.n_edges, 1, ((1,),) * g.n_edges)
     return DesignModel(
         matrix=ones.hstack(inc_t),
         run_labels=tuple(f"{t + 1}->{h + 1}" for t, h in g.edges),

@@ -2,16 +2,19 @@
 
 Everything in this module computes with Python's unbounded integers alone,
 and a solve returns an integer matrix over one common denominator, so ranks,
-determinants, kernels and solves are exact at any magnitude.  Matrices are
-small dense tuples of tuples; the library targets design matrices with at
-most a few thousand entries, not bulk numerics.
+kernels and solves are exact at any magnitude.  Matrices are small dense
+tuples of tuples; the library targets design matrices with at most a few
+thousand entries, not bulk numerics.  Entries are checked once, where they
+enter: the public :class:`IntMatrix` constructor and ``from_rows`` check
+every entry, and the matrices the package computes from ints it already
+holds skip that pass through the module-private :func:`_trusted_matrix`.
 
 The dense algebra has one elimination step, :func:`_reduce`: reduce a
 column against the independent columns kept before it, to a primitive
 remainder that can be read entry by entry.  Rank and pivot columns count
 the columns it keeps.  With a unit vector appended to each column, it also
 records the combination of columns that it took, which gives kernel
-vectors, solves and the determinant.  The circuit searches in
+vectors and solves.  The circuit searches in
 :mod:`circuitrand.circuits` read a remainder only when it closes a
 circuit, so they take a fraction-free step on packed columns instead.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -40,6 +43,13 @@ class IntMatrix:
     ``n_cols`` are stored explicitly so that matrices with zero rows or zero
     columns keep a well-defined shape.  Instances are hashable and compare
     by value.
+
+    Entries are checked at the input boundary: this constructor and
+    :meth:`from_rows` take every entry through ``operator.index`` and check
+    the shape, so a float, a ``Fraction`` or a string raises ``TypeError``
+    and a ragged or miscounted row raises ``ValueError``.  Matrices that the
+    package computes from its own ints (products, transposes, solves,
+    parsed files, catalog designs) are trusted and built without that pass.
     """
 
     n_rows: int
@@ -72,12 +82,6 @@ class IntMatrix:
             width = n_cols
         return cls(len(materialised), width, materialised)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows(
-            (tuple(int(i == j) for j in range(n)) for i in range(n)), n_cols=n
-        )
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
 
@@ -86,32 +90,51 @@ class IntMatrix:
         return list(zip(*self.rows)) if self.rows else [()] * self.n_cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(self.columns(), n_cols=self.n_rows)
+        return _trusted_matrix(self.n_cols, self.n_rows, tuple(self.columns()))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.n_rows != other.n_rows:
             raise ValueError("hstack needs matching row counts")
-        return IntMatrix.from_rows(
-            (a + b for a, b in zip(self.rows, other.rows)),
-            n_cols=self.n_cols + other.n_cols,
+        return _trusted_matrix(
+            self.n_rows,
+            self.n_cols + other.n_cols,
+            tuple(a + b for a, b in zip(self.rows, other.rows)),
         )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("inner dimensions do not match")
         cols = other.columns()
-        return IntMatrix.from_rows(
-            (
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            ),
-            n_cols=other.n_cols,
+        return _trusted_matrix(
+            self.n_rows,
+            other.n_cols,
+            tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.rows),
         )
 
     def mul_vector(self, v: Sequence) -> tuple:
         if len(v) != self.n_cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        return tuple(sum(map(operator.mul, row, v)) for row in self.rows)
+
+
+def _trusted_matrix(n_rows: int, n_cols: int, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """An :class:`IntMatrix` built without checking its entries or shape.
+
+    For matrices the package computes from ints it already holds: ``rows``
+    must be a tuple of ``n_rows`` tuples of ``n_cols`` ints.  The result is
+    equal, with an equal hash, to the checked ``IntMatrix(n_rows, n_cols,
+    rows)``.
+    """
+    m = object.__new__(IntMatrix)
+    m.__dict__.update(n_rows=n_rows, n_cols=n_cols, rows=rows)
+    return m
+
+
+def _from_columns(columns: Sequence[Sequence[int]], n_rows: int) -> IntMatrix:
+    """The trusted matrix whose columns are ``columns``, each ``n_rows`` ints long."""
+    # zip of no columns yields nothing, so a 0-column matrix keeps its empty rows
+    rows = tuple(zip(*columns)) if columns else ((),) * n_rows
+    return _trusted_matrix(n_rows, len(columns), rows)
 
 
 def canonical_sign(v: Sequence[int]) -> tuple[int, ...]:
@@ -161,9 +184,10 @@ def _reduce_columns(
     Column ``c`` is reduced against the independent columns before it.  The
     appended part records the combination ``t`` of columns the reduction
     took, and the first ``n_rows`` entries are ``a t``.  Returns the echelon
-    rows of the independent columns, in column order, and for each dependent
-    column its appended part: a primitive kernel vector of the columns, zero
-    past ``c`` and on every other dependent column.
+    rows of the independent columns, in column order, which a solve reduces
+    its right-hand sides against, and for each dependent column its appended
+    part: a primitive kernel vector of the columns, zero past ``c`` and on
+    every other dependent column.
     """
     echelon = []
     kernel = []
@@ -197,31 +221,6 @@ def pivot_columns(m: IntMatrix) -> list[int]:
 def rank(m: IntMatrix) -> int:
     """Rank of an integer matrix: the number of pivot columns."""
     return len(pivot_columns(m))
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix.
-
-    Reducing the columns with unit vectors appended gives ``a T = H``,
-    where ``T`` is upper triangular with the unit coefficients ``u_c`` on
-    its diagonal, and column ``c`` of ``H`` is zero above its pivot row
-    ``p_c`` and at every earlier pivot row.  Taking the rows of ``H`` in the
-    order ``p_0, p_1, ...`` makes it lower triangular, so
-    ``det a = sign(p) * prod(H[p_c][c]) / prod(u_c)``, and the division is
-    exact.  A dependent column makes it zero.  Raises
-    :class:`NonSquareError` for rectangular input.  The empty 0x0 matrix has
-    determinant 1.
-    """
-    if m.n_rows != m.n_cols:
-        raise NonSquareError(f"determinant needs a square matrix, got {m.n_rows}x{m.n_cols}")
-    n = m.n_rows
-    echelon, kernel = _reduce_columns(m.columns(), n, n)
-    if kernel:
-        return 0
-    pivots = [p for p, _ in echelon]
-    inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1 :])
-    units = prod(v[n + c] for c, (_, v) in enumerate(echelon))
-    return (-1) ** inversions * prod(v[p] for p, v in echelon) // units
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -262,4 +261,4 @@ def rational_solve(gram: IntMatrix, rhs: IntMatrix) -> tuple[IntMatrix, int]:
     reduced = [_reduce(b + _unit(n, n + 1), echelon)[1][n:] for b in rhs.columns()]
     d = lcm(*(v[-1] for v in reduced))
     solution = [[-x * (d // v[-1]) for x in v[:-1]] for v in reduced]
-    return IntMatrix.from_rows(solution, n_cols=n).transpose(), d
+    return _from_columns(solution, n), d

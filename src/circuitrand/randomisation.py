@@ -25,7 +25,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 # circuit_basis stays importable here: bench/worker.py traces randomisation.circuit_basis
 from .circuits import binary_circuit_vectors, circuit_basis  # noqa: F401
 from .contrast import ContrastModel
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _from_columns, _trusted_matrix
 
 
 class DimensionMismatchError(ValueError):
@@ -89,7 +89,7 @@ def _indicator_matrix(n_runs: int, blocks: Sequence[Iterable[int]]) -> IntMatrix
     for k, b in enumerate(blocks):
         for run in b:
             rows[run][k] = 1
-    return IntMatrix.from_rows(rows, n_cols=len(blocks))
+    return _trusted_matrix(n_runs, len(blocks), tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -316,5 +316,5 @@ def is_decomposable(model: ContrastModel, v: Sequence[int]) -> bool:
             "vector is not orthogonal to the contrast columns"
         )
     rows = model.contrast.rows
-    inside = IntMatrix.from_rows([rows[i] for i in support]).transpose()
+    inside = _from_columns([rows[i] for i in support], model.n_contrasts)
     return any(sum(u) < len(support) for u in binary_circuit_vectors(inside))

@@ -18,7 +18,7 @@ from math import comb
 from operator import add, index, sub
 from typing import Iterable
 
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _trusted_matrix
 
 
 class TooLargeError(ValueError):
@@ -79,7 +79,7 @@ def incidence_matrix(g: DirectedGraph) -> IntMatrix:
         rows.append(
             tuple((1 if t == v else 0) - (1 if h == v else 0) for t, h in g.edges)
         )
-    return IntMatrix.from_rows(rows, n_cols=g.n_edges)
+    return _trusted_matrix(g.n_vertices, g.n_edges, tuple(rows))
 
 
 def is_eulerian_balanced(g: DirectedGraph) -> bool:

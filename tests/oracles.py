@@ -122,6 +122,16 @@ def brute_circuit_vectors(rows: list[list[int]], n_cols: int) -> list[tuple[int,
     return sorted(found)
 
 
+def identity(n: int) -> list[list[int]]:
+    """Rows of the n x n identity matrix."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def model_matrix(model) -> list[tuple[int, ...]]:
+    """Rows of the full model matrix ``[j : C]`` of a contrast model, ones first."""
+    return [(1, *row) for row in model.contrast.rows]
+
+
 def det_cofactor(rows: list[list[int]]):
     """Determinant by first-row cofactor expansion."""
     n = len(rows)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -393,6 +394,131 @@ def test_listing_builds_no_system(capsys, tmp_path, edges_file, monkeypatch):
     assert len(calls) == len(first) == len(catalog) == 75
     assert catalog.systems is first
     assert len(calls) == 75
+
+
+def _seeded_blockings(name: str, model) -> list[tuple[list[list[int]], int]]:
+    """Seeded blockings of one design: ``(0-based blocks, number of block effects)``.
+
+    Two valid systems drawn from the enumeration, two random partitions into
+    blocks of two to five runs, and four malformed ones: overlapping blocks,
+    a run index past n, a one-run block, and a valid system whose block
+    effects hold a bad rational token (written when the number is 0).
+    """
+    n = model.n_runs
+    rng = random.Random(f"check-and-analyse:{name}")
+    catalog = enumerate_circuit_randomisations(model)
+    valid = [[list(catalog.supports[i]) for i in c] for c in rng.sample(catalog.covers, 2)]
+    out = [(blocks, len(blocks)) for blocks in valid]
+    for _ in range(2):
+        runs = rng.sample(range(n), n)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(rng.randint(2, 5), n - sum(sizes)))
+        if sizes[-1] < 2:
+            sizes[-2:] = [sizes[-2] + sizes[-1]]
+        cuts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        blocks = [sorted(runs[a:b]) for a, b in zip(cuts, cuts[1:])]
+        out.append((blocks, len(blocks)))
+    rest = list(range(4, n))
+    out += [
+        ([[0, 1, 2], [2, 3], rest], 3),  # overlapping blocks
+        ([[0, n], rest], 2),  # run n + 1
+        ([[0], list(range(1, n))], 2),  # one-run block
+        (valid[0], 0),  # bad block-effect token
+    ]
+    return out
+
+# exit codes, and the sha256 of stdout and stderr, of `randomise --check` and
+# `analyse` over _seeded_blockings, by design, command and format
+PINNED_CHECKS = {
+    ('2^4', 'analyse', 'human'): (
+        (0, 0, 0, 0, 4, 4, 4, 2),
+        'd7b1c346b925165a6af09cc326573319779a1561564e575bae80ea3242375f70',
+    ),
+    ('2^4', 'analyse', 'records'): (
+        (0, 0, 0, 0, 4, 4, 4, 2),
+        '684a823de55f764d8d406dcfb235de8b4cbd4bd2a63a09cfd88f9db3b198b7ef',
+    ),
+    ('2^4', 'check', 'human'): (
+        (0, 0, 4, 4, 4, 4, 4, 0),
+        'ea6959cd7d6330964535ef81002f417f7aa137d45d7b70444ae997ea918f1f62',
+    ),
+    ('2^4', 'check', 'records'): (
+        (0, 0, 4, 4, 4, 4, 4, 0),
+        'fe99ff6afee620bb37018e80f975309d8292e8e03bac444fc357dcc11225c5fb',
+    ),
+    ('anova 4x4', 'analyse', 'human'): (
+        (0, 0, 0, 0, 4, 4, 4, 2),
+        '2fd019e01e8b4dd96aab62e8eec524ffa63fd9ea8bf416fb3f51b14a85e1b476',
+    ),
+    ('anova 4x4', 'analyse', 'records'): (
+        (0, 0, 0, 0, 4, 4, 4, 2),
+        'a7a9c01c6a8a9bca3580675e2cfb9999b92613df6dbeb8213956d5d07a0af1c7',
+    ),
+    ('anova 4x4', 'check', 'human'): (
+        (0, 0, 4, 4, 4, 4, 4, 0),
+        '34e87aaaf93ca8bad318fa0a28df2863b337540d18bd940e9507fb84a5722227',
+    ),
+    ('anova 4x4', 'check', 'records'): (
+        (0, 0, 4, 4, 4, 4, 4, 0),
+        'dbc310d265ef090ac8c6f2f7ff9b0cfc9bf40767645dcfc2137c4d51f9b289f2',
+    ),
+    ('choice k=3', 'analyse', 'human'): (
+        (0, 0, 0, 0, 4, 4, 4, 2),
+        'eec580ace8a731eda50e6b259e3c4bb80422a567dbc3c249e4e07767d027c703',
+    ),
+    ('choice k=3', 'analyse', 'records'): (
+        (0, 0, 0, 0, 4, 4, 4, 2),
+        'f09d92fdb5dc3cd3d24ab02c4cb9a28090a337f6f141a280e65f9f8a5c6086df',
+    ),
+    ('choice k=3', 'check', 'human'): (
+        (0, 0, 4, 4, 4, 4, 4, 0),
+        '990771febcf0dc16c5c3bff75ac3319a5d63e84a1d8b4e377e0ceca15878565b',
+    ),
+    ('choice k=3', 'check', 'records'): (
+        (0, 0, 4, 4, 4, 4, 4, 0),
+        '372f0272b1f340bfb75975f334a91682fd10c14dfe5e8eccb01c444abcaa1b50',
+    ),
+}
+
+
+@pytest.mark.parametrize("name, command, fmt", sorted(PINNED_CHECKS))
+def test_check_and_analyse_are_pinned(capsys, tmp_path, edges_file, name, command, fmt):
+    design = _pinned_design(name, tmp_path, edges_file, capsys)
+    model = cli._contrast_model(cli.parse_matrix_text(Path(design).read_text()), design)
+    n = model.n_runs
+    rng = random.Random(f"responses:{name}")
+    codes, transcript = [], ""
+    for k, (blocks, n_gamma) in enumerate(_seeded_blockings(name, model)):
+        system, y, gamma = (tmp_path / f"{k}.{part}.txt" for part in ("system", "y", "gamma"))
+        system.write_text("".join(" ".join(str(i + 1) for i in b) + "\n" for b in blocks))
+        y.write_text("".join(f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}\n" for _ in range(n)))
+        effects = [f"{rng.randint(-5, 5)}/{rng.randint(1, 3)}" for _ in range(n_gamma)]
+        gamma.write_text("\n".join(effects or ["1", "2/x"]) + "\n")
+        if command == "check":
+            argv = ["randomise", design, "--check", str(system)]
+        else:
+            argv = ["analyse", design, "--system", str(system), "--y", str(y), "--gamma", str(gamma)]
+        code, out, err = run(capsys, argv + ["--format", fmt])
+        codes.append(code)
+        transcript += out + err.replace(str(tmp_path), "TMP")
+    digest = hashlib.sha256(transcript.encode()).hexdigest()
+    assert (tuple(codes), digest) == PINNED_CHECKS[name, command, fmt]
+
+
+@pytest.mark.parametrize("mode", [["--check", "BLOCKS"], ["--enumerate"]], ids=["check", "enumerate"])
+def test_randomise_names_a_matrix_file_with_a_fractional_entry(capsys, tmp_path, mode):
+    design = tmp_path / "design.txt"
+    design.write_text("2 2\n1 1\n1 1.5\n")
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("1 2\n")
+    argv = ["randomise", str(design), *(str(blocks) if a == "BLOCKS" else a for a in mode)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"circuitrand: {design}: matrix entries must be integers: "
+        "invalid literal for int() with base 10: '1.5'\n"
+    )
 
 
 def test_tu_verdicts(capsys, contrast_file, tmp_path):

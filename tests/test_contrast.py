@@ -48,16 +48,16 @@ def test_factorial_contrast_is_the_sign_matrix():
 
 def test_model_matrix_prepends_ones():
     model = to_contrast_form(factorial_two_level(2))
-    mm = model.model_matrix()
-    assert mm.column(0) == (1, 1, 1, 1)
-    assert mm.n_cols == 1 + model.n_contrasts
+    mm = oracles.model_matrix(model)
+    assert [row[0] for row in mm] == [1, 1, 1, 1]
+    assert [len(row) for row in mm] == [1 + model.n_contrasts] * 4
 
 
 def test_contrast_form_keeps_the_column_space():
     """[j : C] spans the column space of the design matrix X."""
     for design in (factorial_two_level(3), anova_two_way(3, 3), choice_k_of_2k(2)):
         x = design.matrix
-        model_matrix = to_contrast_form(design).model_matrix()
+        model_matrix = IntMatrix.from_rows(oracles.model_matrix(to_contrast_form(design)))
         assert rank(model_matrix.hstack(x)) == rank(x) == rank(model_matrix)
 
 
@@ -72,14 +72,14 @@ def test_intercept_only_design_keeps_its_run_count():
     design = DesignModel(matrix=m, run_labels="abcde", param_labels=("1",))
     model = to_contrast_form(design)
     assert (model.n_runs, model.n_contrasts) == (5, 0)
-    assert model.model_matrix().rows == ((1,),) * 5
+    assert oracles.model_matrix(model) == [(1,)] * 5
 
 
 def test_contrast_rank_matches_design_rank():
     for design in (factorial_two_level(3), anova_two_way(2, 4), choice_k_of_2k(2)):
         model = to_contrast_form(design)
         assert 1 + model.n_contrasts == rank(design.matrix)
-        assert rank(model.model_matrix()) == 1 + model.n_contrasts
+        assert rank(IntMatrix.from_rows(oracles.model_matrix(model))) == 1 + model.n_contrasts
 
 
 def test_rejects_design_without_intercept():

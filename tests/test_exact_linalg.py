@@ -6,19 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuitrand import cli
+from circuitrand.contrast import DesignModel, to_contrast_form
+from circuitrand.design_catalog import (
+    anova_two_way,
+    choice_k_of_2k,
+    digraph_design,
+    factorial_two_level,
+)
 from circuitrand.exact_linalg import (
     IntMatrix,
     NonSquareError,
     SingularError,
     canonical_sign,
-    determinant,
     kernel_basis,
     pivot_columns,
     rank,
     rational_solve,
 )
+from circuitrand.randomisation import _indicator_matrix
+from circuitrand.unimodular import incidence_matrix
 
 import oracles
+from conftest import digraph_five
 
 
 def test_from_rows_infers_shape():
@@ -35,8 +45,12 @@ def test_empty_shapes_need_explicit_columns():
 
 
 def test_ragged_rows_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 2 entries per row, got 1"):
         IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="expected 2 entries per row, got 1"):
+        IntMatrix(2, 2, ((1, 2), (3,)))
+    with pytest.raises(ValueError, match="expected 3 rows, got 2"):
+        IntMatrix(3, 2, ((1, 2), (3, 4)))
 
 
 def test_transpose_round_trip():
@@ -76,13 +90,6 @@ def test_rank_of_zero_and_empty():
     assert rank(IntMatrix.from_rows([], n_cols=3)) == 0
 
 
-def test_determinant_edge_cases():
-    assert determinant(IntMatrix.from_rows([], n_cols=0)) == 1
-    assert determinant(IntMatrix.identity(3)) == 1
-    with pytest.raises(NonSquareError):
-        determinant(IntMatrix.from_rows([[1, 2]]))
-
-
 def test_kernel_basis_spans_the_kernel():
     rng = random.Random(11)
     for _ in range(100):
@@ -102,7 +109,7 @@ def test_kernel_basis_spans_the_kernel():
 
 
 def test_kernel_of_full_rank_matrix_is_empty():
-    assert kernel_basis(IntMatrix.identity(4)) == []
+    assert kernel_basis(IntMatrix.from_rows(oracles.identity(4))) == []
 
 
 def test_rational_solve_round_trip():
@@ -114,7 +121,7 @@ def test_rational_solve_round_trip():
     n, d = rational_solve(a, rhs)
     assert a.mul(n).rows == tuple(tuple(d * x for x in row) for row in rhs.rows)
     assert (d, n.column(2)) == (48, (0, 0))
-    n, d = rational_solve(IntMatrix.identity(3), IntMatrix.from_rows([[], [], []], n_cols=0))
+    n, d = rational_solve(IntMatrix.from_rows(oracles.identity(3)), IntMatrix.from_rows([[], [], []], n_cols=0))
     assert (n.n_rows, n.n_cols, d) == (3, 0, 1)
 
 
@@ -172,33 +179,6 @@ def test_kernel_basis_and_pivots_match_the_rref_oracle(drawn):
     assert rank(m) == len(pivots)
 
 
-@st.composite
-def square_matrices(draw):
-    """n x n integer matrices for n in 0..6, as rows.
-
-    Entries lie in [-40, 40] and half of them are zero, so that pivots
-    leave the diagonal.  Half of the matrices then get one zero, copied or
-    combined row, or column, and every matrix has its rows permuted.
-    """
-    n = draw(st.integers(0, 6))
-    line = st.lists(st.just(0) | st.integers(-40, 40), min_size=n, max_size=n)
-    rows = draw(st.lists(line, min_size=n, max_size=n))
-    if n and draw(st.booleans()):
-        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
-        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
-        if draw(st.booleans()):
-            rows = [list(col) for col in zip(*rows)]
-    return [rows[i] for i in draw(st.permutations(range(n)))]
-
-
-@settings(max_examples=300, deadline=None)
-@given(square_matrices())
-def test_determinant_against_cofactor_oracle(rows):
-    m = IntMatrix.from_rows(rows, n_cols=len(rows))
-    assert determinant(m) == oracles.det_cofactor(rows)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 3), st.data())
 def test_rational_solve_matches_the_rref_oracle(n, k, data):
@@ -224,3 +204,103 @@ def test_canonical_sign():
     assert canonical_sign([0, -2, 1]) == (0, 2, -1)
     assert canonical_sign([3, -1]) == (3, -1)
     assert canonical_sign([0, 0]) == (0, 0)
+
+
+def assert_built_as_checked(m: IntMatrix) -> None:
+    """``m`` is the matrix the public constructor builds from its rows, ints only."""
+    checked = IntMatrix.from_rows(m.rows, n_cols=m.n_cols)
+    assert m == checked
+    assert hash(m) == hash(checked)
+    assert type(m.rows) is tuple and len(m.rows) == m.n_rows
+    assert all(type(row) is tuple and len(row) == m.n_cols for row in m.rows)
+    assert all(type(x) is int for row in m.rows for x in row)
+
+
+def shaped(n_rows: int, n_cols: int, entries=st.integers(-40, 40)):
+    """Integer matrices of one shape, 0-row and 0-column shapes included."""
+    row = st.lists(entries, min_size=n_cols, max_size=n_cols)
+    return st.lists(row, min_size=n_rows, max_size=n_rows).map(
+        lambda rows: IntMatrix.from_rows(rows, n_cols=n_cols)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_internal_results_match_the_checked_constructor(n, k, m, data):
+    a = data.draw(shaped(n, k))
+    b = data.draw(shaped(k, m))
+    c = data.draw(shaped(n, m))
+    for built in (a.transpose(), b.transpose(), a.hstack(c), c.hstack(a), a.mul(b)):
+        assert_built_as_checked(built)
+    assert a.transpose().transpose() == a
+    assert (a.transpose().n_rows, a.transpose().n_cols) == (k, n)
+    assert a.hstack(c).columns() == a.columns() + c.columns()
+    assert a.mul(b).transpose().rows == tuple(a.mul_vector(col) for col in b.columns())
+    # a strictly diagonally dominant gram is nonsingular
+    off = data.draw(shaped(n, n, st.integers(-3, 3)))
+    gram = IntMatrix.from_rows(
+        [[x + 13 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(off.rows)],
+        n_cols=n,
+    )
+    solution, d = rational_solve(gram, c)
+    assert_built_as_checked(solution)
+    assert gram.mul(solution).rows == tuple(tuple(d * x for x in row) for row in c.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_parsed_matrices_match_the_checked_constructor(n_rows, n_cols, data):
+    m = data.draw(shaped(n_rows, n_cols))
+    tokens = [data.draw(st.sampled_from(["{}", "{:+}", "{:+04d}", " {:03d}"])).format(x)
+              for row in m.rows for x in row]
+    # the token count fixes the shape, however the entries are laid out
+    per_line = data.draw(st.integers(1, 7))
+    lines = [" ".join(tokens[i:i + per_line]) for i in range(0, len(tokens), per_line)]
+    parsed = cli.parse_matrix_text("\n".join([f"{n_rows} {n_cols}", "# entries", *lines]))
+    assert_built_as_checked(parsed)
+    assert parsed == m
+    assert cli.parse_matrix_text(cli.format_matrix_text(m)) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 4), st.data())
+def test_contrast_matrices_match_the_checked_constructor(n, k, data):
+    x = data.draw(shaped(n, k, st.integers(-3, 3)))
+    ones = IntMatrix.from_rows([[2]] * n)
+    design = DesignModel(ones.hstack(x), tuple(range(n)), tuple(range(k + 1)))
+    contrast = to_contrast_form(design).contrast
+    assert_built_as_checked(contrast)
+    assert contrast.n_rows == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9), st.data())
+def test_indicator_matrices_match_the_checked_constructor(n_runs, data):
+    runs = data.draw(st.permutations(range(n_runs)))
+    cuts = sorted(data.draw(st.sets(st.integers(0, n_runs))))
+    blocks = [runs[i:j] for i, j in zip(cuts, cuts[1:])]
+    z = _indicator_matrix(n_runs, blocks)
+    assert_built_as_checked(z)
+    assert (z.n_rows, z.n_cols) == (n_runs, len(blocks))
+    assert z.columns() == [tuple(int(i in b) for i in range(n_runs)) for b in blocks]
+
+
+def test_catalog_and_incidence_matrices_match_the_checked_constructor():
+    designs = (
+        factorial_two_level(3),
+        anova_two_way(2, 3),
+        choice_k_of_2k(2),
+        digraph_design(digraph_five()),
+    )
+    for design in designs:
+        assert_built_as_checked(design.matrix)
+    assert_built_as_checked(incidence_matrix(digraph_five()))
+    assert designs[-1].matrix.column(0) == (1,) * 15
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), "1", None], ids=repr)
+def test_the_public_constructors_check_every_entry(bad):
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1, 0], [0, bad]])
+    with pytest.raises(TypeError):
+        IntMatrix(2, 2, ((1, 0), (0, bad)))
