@@ -93,7 +93,7 @@ def _lse_operator(model: ContrastModel) -> tuple[IntMatrix, int]:
 
 def _scaled(values: Sequence) -> tuple[list[int], int]:
     """Integers ``v * scale`` for the least positive ``scale`` that clears ``values``."""
-    fracs = [Fraction(v) for v in values]
+    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     scale = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (scale // f.denominator) for f in fracs], scale
 

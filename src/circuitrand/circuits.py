@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import gcd, isqrt, prod
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, canonical_sign, rank
+from .exact_linalg import IntMatrix, rank
 
 
 class NotInKernelError(ValueError):
@@ -172,11 +172,17 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
         # the coefficients of chosen are the slots of v, and tail follows them
         v += high
         coefficients = [(v >> width * f & mask) - half for f in range(m, m + len(chosen))] + tail
+        # the support ascends and no coefficient is zero, so the first one
+        # is the circuit's first nonzero entry and sets its sign
         g = gcd(*coefficients)
+        if coefficients[0] < 0:
+            g = -g
+        if g != 1:
+            coefficients = [x // g for x in coefficients]
         u = [0] * n
         for i, x in zip(support, coefficients):
-            u[i] = x // g
-        vectors.append(canonical_sign(u))
+            u[i] = x
+        vectors.append(tuple(u))
 
     def close_pairs(pending: list, prev: int) -> None:
         need = slots[len(chosen)]

@@ -200,15 +200,32 @@ def _require(condition: bool, message: str) -> None:
         raise CliError(EXIT_PARAMS, message)
 
 
-def _contrast_model(matrix: IntMatrix, path: str) -> ContrastModel:
+def _read_model(path: str) -> ContrastModel:
+    """The contrast model of the design file ``path``.
+
+    A file that cannot be read, parsed or made a design exits 2, and a
+    design whose column space lacks the all-ones vector exits 3, each with
+    a message naming the file.
+    """
     try:
-        design = _design_from_matrix(matrix)
-    except ValueError as exc:
-        raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
-    try:
-        return to_contrast_form(design)
+        return _model_of_text(Path(path).read_text())
+    except OSError as exc:
+        raise CliError(EXIT_PARAMS, f"cannot read {path}: {exc}") from exc
     except JNotInColumnSpaceError as exc:
         raise CliError(EXIT_PRECONDITION, f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=64)
+def _model_of_text(text: str) -> ContrastModel:
+    """The contrast model of a design file's text, memoised by the text.
+
+    The model is a pure function of the text, so repeated :func:`main`
+    calls on one design reduce it once; an error is raised afresh each
+    time, since ``lru_cache`` keeps no exceptions.
+    """
+    return to_contrast_form(_design_from_matrix(parse_matrix_text(text)))
 
 
 def _design_from_matrix(matrix: IntMatrix) -> DesignModel:
@@ -224,8 +241,7 @@ def _emit(args: argparse.Namespace, human_lines: Iterable[str], records: dict) -
     if args.format == "records":
         print(json.dumps(records, indent=2))
     else:
-        for line in human_lines:
-            print(line)
+        sys.stdout.writelines(line + "\n" for line in human_lines)
 
 
 def _format_block(block: tuple[int, ...]) -> str:
@@ -320,8 +336,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
 
 
 def cmd_randomise(args: argparse.Namespace) -> int:
-    matrix = _read(args.input, parse_matrix_text)
-    model = _contrast_model(matrix, args.input)
+    model = _read_model(args.input)
     if args.check:
         return _randomise_check(args, model)
 
@@ -391,8 +406,7 @@ def cmd_analyse(args: argparse.Namespace) -> int:
             EXIT_PARAMS,
             "analyse needs DESIGN --system FILE --y FILE --gamma FILE, or --simulate",
         )
-    matrix = _read(args.input, parse_matrix_text)
-    model = _contrast_model(matrix, args.input)
+    model = _read_model(args.input)
     blocks = _read(args.system, parse_blocks_text)
     _validate_blocks(blocks, model.n_runs)
     y = _read(args.y, parse_rational_list)

@@ -5,6 +5,7 @@ import pytest
 from circuitrand import (
     choice_k_of_2k,
     circuits,
+    cli,
     digraph_design,
     enumerate_circuit_randomisations,
     factorial_two_level,
@@ -24,6 +25,13 @@ DIGRAPH_EDGES = [
 
 def digraph_five() -> DirectedGraph:
     return DirectedGraph.from_edges([(a - 1, b - 1) for a, b in DIGRAPH_EDGES], 5)
+
+
+@pytest.fixture(autouse=True)
+def fresh_model_memo():
+    """Start each test with an empty design-text memo in ``cli``, so that
+    what a test counts or sees does not depend on the tests before it."""
+    cli._model_of_text.cache_clear()
 
 
 @pytest.fixture

@@ -485,7 +485,7 @@ PINNED_CHECKS = {
 @pytest.mark.parametrize("name, command, fmt", sorted(PINNED_CHECKS))
 def test_check_and_analyse_are_pinned(capsys, tmp_path, edges_file, name, command, fmt):
     design = _pinned_design(name, tmp_path, edges_file, capsys)
-    model = cli._contrast_model(cli.parse_matrix_text(Path(design).read_text()), design)
+    model = cli._read_model(design)
     n = model.n_runs
     rng = random.Random(f"responses:{name}")
     codes, transcript = [], ""
@@ -716,3 +716,83 @@ def test_repeated_main_calls_match_fresh_processes(capsys, design_file, tmp_path
         assert in_process == (fresh.returncode, fresh.stdout), argv
         codes.append(code)
     assert codes == [0, 0, 0, 4, 2, 0, 0]
+
+
+def _write(path: Path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def test_a_rewritten_design_file_is_read_afresh(capsys, tmp_path):
+    # two runs of four per block: valid against (1, -1, 1, -1), not against (1, 1, -1, -1)
+    blocks = _write(tmp_path / "blocks.txt", "1 2\n3 4\n")
+    design = tmp_path / "design.txt"
+    _write(design, "4 2\n1 1\n1 -1\n1 1\n1 -1\n")
+    assert run(capsys, ["randomise", str(design), "--check", blocks]) == (0, "valid\n", "")
+    _write(design, "4 2\n1 1\n1 1\n1 -1\n1 -1\n")
+    assert run(capsys, ["randomise", str(design), "--check", blocks]) == (
+        4,
+        "",
+        "circuitrand: invalid system: block {1,2} has inner product 2 "
+        "with contrast column 1\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("3 1\n1\n0\n0\n", 3, "the all-ones vector is not in the column space"),
+        ("2 2\n1 1\n1\n", 2, "expected 4 entries for a 2x2 matrix, got 3"),
+    ],
+    ids=["no-intercept", "malformed"],
+)
+def test_a_failing_design_fails_alike_on_every_call(capsys, tmp_path, text, code, message):
+    design = _write(tmp_path / "design.txt", text)
+    blocks = _write(tmp_path / "blocks.txt", "1 2\n")
+    expected = (code, "", f"circuitrand: {design}: {message}\n")
+    for _ in range(2):
+        assert run(capsys, ["randomise", design, "--check", blocks]) == expected
+
+
+def _fold_over_request(tmp_path: Path, k: int) -> tuple[list[str], list[str]]:
+    """A ``randomise --check`` and an ``analyse`` of 2^k blocked into fold-over pairs."""
+    n = 2**k
+    design = str(tmp_path / "design.txt")
+    assert cli.main(["catalog", "factorial", "--k", str(k), "-o", design]) == 0
+    # run i and its fold-over n - 1 - i have opposite signs on every factor
+    system = _write(tmp_path / "system.txt", "".join(f"{i + 1} {n - i}\n" for i in range(n // 2)))
+    y = _write(tmp_path / "y.txt", "".join(f"{i}/3\n" for i in range(n)))
+    gamma = _write(tmp_path / "gamma.txt", "".join(f"{i}/2\n" for i in range(n // 2)))
+    check = ["randomise", design, "--check", system]
+    analyse = ["analyse", design, "--system", system, "--y", y, "--gamma", gamma]
+    return check, analyse
+
+
+def test_one_design_is_reduced_once_per_process(capsys, tmp_path, monkeypatch):
+    check, analyse = _fold_over_request(tmp_path, 3)
+    calls = []
+    inner = cli.to_contrast_form
+
+    def counted(design):
+        calls.append(1)
+        return inner(design)
+
+    monkeypatch.setattr(cli, "to_contrast_form", counted)
+    for _ in range(7):
+        assert run(capsys, check)[0] == 0
+        assert run(capsys, analyse)[0] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["human", "records"])
+def test_a_memo_hit_prints_what_a_miss_prints(capsys, tmp_path, fmt):
+    check, analyse = _fold_over_request(tmp_path, 3)
+    enumerate_ = ["randomise", check[1], "--enumerate", "--shapes", "--lattice"]
+    for argv in (check, analyse, enumerate_):
+        argv = argv + ["--format", fmt]
+        cli._model_of_text.cache_clear()
+        miss = run(capsys, argv)
+        assert cli._model_of_text.cache_info().misses == 1
+        hit = run(capsys, argv)
+        assert cli._model_of_text.cache_info().hits == 1
+        assert hit == miss and miss[0] == 0

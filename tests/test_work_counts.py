@@ -8,9 +8,11 @@ fixture counts only when it clears a nonzero entry, since a step with
 ``q == 0`` only rescales its column.
 """
 
+from pathlib import Path
+
 import pytest
 
-from circuitrand import analysis_sim, contrast
+from circuitrand import analysis_sim, cli, contrast
 from circuitrand.analysis_sim import CovarianceOrdering, covariance_comparison
 from circuitrand.contrast import to_contrast_form
 from circuitrand.design_catalog import factorial_two_level
@@ -41,6 +43,24 @@ def test_contrast_form_reduces_each_column_of_j_and_x_once(count_reduce):
     calls = count_reduce(contrast)
     to_contrast_form(design)
     assert len(calls) == design.matrix.n_cols + 1
+
+
+def test_a_repeated_design_is_reduced_by_the_first_request_only(count_reduce, tmp_path, capsys):
+    design, system, y, gamma = (str(tmp_path / f"{part}.txt") for part in ("design", "system", "y", "gamma"))
+    assert cli.main(["catalog", "factorial", "--k", "5", "-o", design]) == 0
+    # run i and its fold-over 33 - i (1-based) have opposite signs on every factor
+    Path(system).write_text("".join(f"{i} {33 - i}\n" for i in range(1, 17)))
+    Path(y).write_text("".join(f"{i}/7\n" for i in range(32)))
+    Path(gamma).write_text("".join(f"{i}/2\n" for i in range(16)))
+    calls = count_reduce(contrast)
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        assert cli.main(["randomise", design, "--check", system]) == 0
+        assert cli.main(["analyse", design, "--system", system, "--y", y, "--gamma", gamma]) == 0
+        counts.append(len(calls) - before)
+    capsys.readouterr()
+    assert counts == [factorial_two_level(5).matrix.n_cols + 1, 0]
 
 
 def test_a_valid_blocking_reduces_only_the_contrast_columns(count_reduce):
