@@ -14,7 +14,6 @@ from .analysis_sim import (
     CovarianceOrdering,
     EstimateReport,
     ExperimentOutcome,
-    RankDeficientError,
     analyse_experiment,
     block_shift_invariance,
     covariance_comparison,
@@ -36,6 +35,7 @@ from .contrast import (
     ContrastModel,
     DesignModel,
     JNotInColumnSpaceError,
+    RankDeficientError,
     empirical_contrast_check,
     to_contrast_form,
 )

@@ -23,16 +23,12 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .contrast import ContrastModel
-from .exact_linalg import IntMatrix, SingularError, _reduce, rational_solve
+# RankDeficientError is raised by ContrastModel._lse and stays importable here
+from .contrast import ContrastModel, RankDeficientError  # noqa: F401
+from .exact_linalg import IntMatrix, _reduce
 from .randomisation import DimensionMismatchError, RandomisationSystem, _block_violation
-
-
-class RankDeficientError(ValueError):
-    """The contrast columns of a model are linearly dependent."""
 
 
 class CovarianceOrdering(Enum):
@@ -70,27 +66,6 @@ class EstimateReport:
     covariance_ordering: CovarianceOrdering
 
 
-@lru_cache(maxsize=64)
-def _lse_operator(model: ContrastModel) -> tuple[IntMatrix, int]:
-    """The contrast rows of the exact LSE map of ``M = [j : C]``.
-
-    The contrasts sum to zero, so ``M'M = diag(n, C'C)``: the intercept row
-    of ``(M'M)^-1 M'`` is ``j' / n`` and the contrast rows are
-    ``(C'C)^-1 C'``.  Returns ``(N, d)``: an integer matrix ``N`` and the
-    least positive ``d`` with ``(C'C)^-1 C' = N / d``, so that applying the
-    map costs integer dot products and one division per estimate.  Raises
-    :class:`RankDeficientError` when the contrast columns are dependent, or
-    when there are no runs and ``j`` itself is zero.
-    """
-    if not model.n_runs:
-        raise RankDeficientError("a model with no runs has no intercept")
-    ct = model.contrast.transpose()
-    try:
-        return rational_solve(ct.mul(model.contrast), ct)
-    except SingularError:
-        raise RankDeficientError("the contrast columns are linearly dependent") from None
-
-
 def _scaled(values: Sequence) -> tuple[list[int], int]:
     """Integers ``v * scale`` for the least positive ``scale`` that clears ``values``."""
     fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
@@ -100,7 +75,7 @@ def _scaled(values: Sequence) -> tuple[list[int], int]:
 
 def _apply_lse(model: ContrastModel, v: Sequence[int], scale: int) -> tuple[Fraction, ...]:
     """The contrast estimates of the response ``v / scale``, ``v`` an integer vector."""
-    n, d = _lse_operator(model)
+    n, d = model._lse
     return tuple(Fraction(x, d * scale) for x in n.mul_vector(v))
 
 
@@ -190,23 +165,24 @@ def covariance_comparison(model: ContrastModel, z: IntMatrix) -> CovarianceOrder
     - they are equal exactly when ``P_W C = 0``, that is when every kept
       column is orthogonal to every contrast.
 
-    Raises :class:`RankDeficientError` when the contrast columns are
-    linearly dependent.  Then blocks that all sum to zero on every
-    contrast, as a valid system's do, give ``EQUAL`` with no block column
-    reduced; otherwise the first kept block column, in the greedy pivot
-    order of ``[C | Z]``, that is not orthogonal gives ``PROPER_DOMINATES``.
+    Raises :class:`RankDeficientError` as the model's LSE map does, when
+    the contrast columns are linearly dependent or there are no runs.
+    Otherwise blocks that all sum to zero on every contrast, as a valid
+    system's do, give ``EQUAL`` with nothing reduced; else the contrast
+    columns are reduced, and the first kept block column, in the greedy
+    pivot order of ``[C | Z]``, that is not orthogonal gives
+    ``PROPER_DOMINATES``.
     """
     _validate_indicators(model, z)
-    echelon = []
-    for col in model.contrast.columns():
-        reduced = _reduce(col, echelon)
-        if reduced is None:
-            raise RankDeficientError("the contrast columns are linearly dependent")
-        echelon.append(reduced)
+    model._lse  # the rank verdict: raises when the contrasts are dependent
     columns = z.columns()
     blocks = [[i for i, x in enumerate(b) if x] for b in columns]
     if _block_violation(model, blocks) is None:
         return CovarianceOrdering.EQUAL
+    # the contrast columns are independent, so none reduces to zero
+    echelon = []
+    for col in model.contrast.columns():
+        echelon.append(_reduce(col, echelon))
     for col, block in zip(columns, blocks):
         reduced = _reduce(col, echelon)
         if reduced is not None:

@@ -101,14 +101,15 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
     all of ``I + {j}``.  Depth-first search over linearly independent
     column sets ``I`` in increasing index order.  Each column carries a
     unit part that tracks the combination of columns its elimination took:
-    slot ``k`` for the ``k``-th column of ``I``, and the last slot for the
-    column's own coefficient.  A node holds its pending columns, the
-    ``j > max(I)`` independent of ``I``, already eliminated at the pivots
-    of ``I``.  Choosing a pending ``j`` moves its own coefficient to slot
-    ``len(I)`` and makes it the one new pivot row, and each later pending
-    column takes one :func:`_step` against it.  A later column that
-    becomes zero in its first ``n_rows`` entries depends on ``I + {j}``,
-    and its unit part is a kernel vector on ``I + {j}`` and itself; it is
+    slot ``k`` for the ``k``-th column of ``I``.  A node holds its pending
+    columns, the ``j > max(I)`` independent of ``I``, already eliminated at
+    the pivots of ``I``; each one's own coefficient is the pivot chosen
+    last (1 at the root), so it is not stored.  Choosing a pending ``j``
+    writes that coefficient to slot ``len(I)`` and makes ``j`` the one new
+    pivot row, and each later pending column takes one :func:`_step`
+    against it.  A later column that becomes zero in its first ``n_rows``
+    entries depends on ``I + {j}``; its slots and its own coefficient, the
+    pivot of ``j``, are a kernel vector on ``I + {j}`` and itself.  It is
     a circuit exactly when its support is all of that set, so each circuit
     is found once, through its largest index, and is made primitive and
     canonically signed then.  The column then depends on every larger set
@@ -135,13 +136,12 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
     Each ``(I, j)`` pair above the last level costs one step by one row.
 
     A column is one integer of signed ``W``-bit fields, as packed by
-    :func:`_packing`: the ``n_rows`` rows, the ``rank(a)`` slots, then the
-    own coefficient.  The steps are fraction-free (Bareiss), so every
-    field of a pending column with ``k`` columns chosen is, up to sign, a
-    minor of ``a`` on the chosen columns and at most one more: a row is
-    the ``(k + 1)``-minor on the chosen pivot rows and that row, a slot
-    the ``k``-minor that leaves its chosen column out, and the own
-    coefficient the ``k``-minor of ``I`` itself.  A pair's combination
+    :func:`_packing`: the ``n_rows`` rows, then the ``rank(a)`` slots.
+    The steps are fraction-free (Bareiss), so every field of a pending
+    column with ``k`` columns chosen is, up to sign, a minor of ``a`` on
+    the chosen columns and at most one more: a row is the
+    ``(k + 1)``-minor on the chosen pivot rows and that row, and a slot the
+    ``k``-minor that leaves its chosen column out.  A pair's combination
     divided by the last pivot, which is exact for the same reason, has
     the same ``rank(a)``-minors in its slots.  Each is at most Hadamard's
     bound, the product of the ``rank(a)`` largest column norms, which is
@@ -154,13 +154,10 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
     m, n = a.n_rows, a.n_cols
     cols = a.columns()
     depth = rank(a)
-    width, half, mask, high, low = _packing(cols, depth, m + depth + 1)
+    width, half, mask, high, low = _packing(cols, depth, m + depth)
     rows = (1 << width * m) - 1
-    own = 1 << width * (m + depth)
-    # slots[k]: the top bit of each of the first k slots; moves[k] takes
-    # the own coefficient, the last pivot in every pending column, to slot k
+    # slots[k]: the top bit of each of the first k slots
     slots = [high & ((1 << width * (m + k)) - 1) & ~rows for k in range(depth + 1)]
-    moves = [(1 << width * (m + k)) - own for k in range(depth)]
     chosen: list[int] = []
     vectors: list[tuple[int, ...]] = []
 
@@ -191,8 +188,7 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
         parts = [(j, ((v + high) >> shift & mask) - half, v) for j, v in pending]
         for k, (c, f_c, w_c) in enumerate(parts):
             for l, f_l, w_l in parts[k + 1 :]:
-                # zero on every row.  The own field mixes c's and l's and
-                # may outgrow the width, but it is the top field: never read
+                # zero on every row
                 u = (f_c * w_l - f_l * w_c) // prev
                 if full((u + high) ^ high, need):
                     emit((*chosen, c, l), u, [-f_l, f_c])
@@ -203,11 +199,11 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
         if len(chosen) + 1 == depth:
             close_pairs(pending, prev)
             return
-        move, need = moves[len(chosen)], slots[len(chosen) + 1]
+        slot, need = width * (m + len(chosen)), slots[len(chosen) + 1]
         for k, (j, r) in enumerate(pending):
             shift = ((r & -r).bit_length() - 1) // width * width
             p = ((r + high) >> shift & mask) - half
-            r += prev * move
+            r += prev << slot
             chosen.append(j)
             children = []
             seen = 0
@@ -226,7 +222,7 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
 
     pending = []
     for j, col in enumerate(cols):
-        v = sum(x << width * i for i, x in enumerate(col)) + own
+        v = sum(x << width * i for i, x in enumerate(col))
         if v & rows:
             pending.append((j, v))
         else:

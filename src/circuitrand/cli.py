@@ -186,11 +186,17 @@ def parse_rational_list(text: str) -> list[Fraction]:
 
 
 def _read(path: str, parse: Callable[[str], _T]) -> _T:
-    """Parse the text of ``path``; a bad file exits 2 with a message naming it."""
+    """Parse the text of ``path``, with a message naming the file on error.
+
+    A file that cannot be read or parsed exits 2, and a design whose column
+    space lacks the all-ones vector exits 3.
+    """
     try:
         return parse(Path(path).read_text())
     except OSError as exc:
         raise CliError(EXIT_PARAMS, f"cannot read {path}: {exc}") from exc
+    except JNotInColumnSpaceError as exc:
+        raise CliError(EXIT_PRECONDITION, f"{path}: {exc}") from exc
     except ValueError as exc:
         raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
 
@@ -198,23 +204,6 @@ def _read(path: str, parse: Callable[[str], _T]) -> _T:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CliError(EXIT_PARAMS, message)
-
-
-def _read_model(path: str) -> ContrastModel:
-    """The contrast model of the design file ``path``.
-
-    A file that cannot be read, parsed or made a design exits 2, and a
-    design whose column space lacks the all-ones vector exits 3, each with
-    a message naming the file.
-    """
-    try:
-        return _model_of_text(Path(path).read_text())
-    except OSError as exc:
-        raise CliError(EXIT_PARAMS, f"cannot read {path}: {exc}") from exc
-    except JNotInColumnSpaceError as exc:
-        raise CliError(EXIT_PRECONDITION, f"{path}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=64)
@@ -328,15 +317,15 @@ def cmd_circuits(args: argparse.Namespace) -> int:
         summary += f" binary={len(binary)}"
         records["binary"] = len(binary)
         listed = binary
-    lines = [" ".join(str(x) for x in c.vector) for c in listed]
     if args.format == "records":
         records["vectors"] = [list(c.vector) for c in listed]
-    _emit(args, lines + [summary], records)
+    lines = (" ".join(str(x) for x in c.vector) for c in listed)
+    _emit(args, chain(lines, [summary]), records)
     return EXIT_OK
 
 
 def cmd_randomise(args: argparse.Namespace) -> int:
-    model = _read_model(args.input)
+    model = _read(args.input, _model_of_text)
     if args.check:
         return _randomise_check(args, model)
 
@@ -406,7 +395,7 @@ def cmd_analyse(args: argparse.Namespace) -> int:
             EXIT_PARAMS,
             "analyse needs DESIGN --system FILE --y FILE --gamma FILE, or --simulate",
         )
-    model = _read_model(args.input)
+    model = _read(args.input, _model_of_text)
     blocks = _read(args.system, parse_blocks_text)
     _validate_blocks(blocks, model.n_runs)
     y = _read(args.y, parse_rational_list)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, _from_columns, _reduce
+from .exact_linalg import IntMatrix, SingularError, _from_columns, _reduce, rational_solve
 
 
 class JNotInColumnSpaceError(ValueError):
@@ -24,6 +25,10 @@ class JNotInColumnSpaceError(ValueError):
     Without an intercept-equivalent direction the contrast form does not
     exist and block-orthogonality analysis does not apply.
     """
+
+
+class RankDeficientError(ValueError):
+    """The contrast columns of a model are linearly dependent."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,28 @@ class ContrastModel:
     @property
     def n_contrasts(self) -> int:
         return self.contrast.n_cols
+
+    @cached_property
+    def _lse(self) -> tuple[IntMatrix, int]:
+        """The contrast rows of the exact LSE map of ``M = [j : C]``.
+
+        The contrasts sum to zero, so ``M'M = diag(n, C'C)``: the intercept
+        row of ``(M'M)^-1 M'`` is ``j' / n`` and the contrast rows are
+        ``(C'C)^-1 C'``.  Returns ``(N, d)``: an integer matrix ``N`` and the
+        least positive ``d`` with ``(C'C)^-1 C' = N / d``, so that applying
+        the map costs integer dot products and one division per estimate.
+        Built on first read and kept on the model, which is frozen; being no
+        field, it takes no part in equality, hashing or the repr.  Raises
+        :class:`RankDeficientError` when the contrast columns are dependent,
+        or when there are no runs and ``j`` itself is zero.
+        """
+        if not self.n_runs:
+            raise RankDeficientError("a model with no runs has no intercept")
+        ct = self.contrast.transpose()
+        try:
+            return rational_solve(ct.mul(self.contrast), ct)
+        except SingularError:
+            raise RankDeficientError("the contrast columns are linearly dependent") from None
 
 
 def to_contrast_form(design: DesignModel) -> ContrastModel:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from circuitrand import contrast
 from circuitrand.analysis_sim import (
     CovarianceOrdering,
     EstimateReport,
@@ -254,8 +255,42 @@ def test_every_analysis_raises_one_error_for_dependent_contrasts():
     ):
         with pytest.raises(RankDeficientError, match="the contrast columns are linearly dependent"):
             call()
-    with pytest.raises(RankDeficientError, match="no intercept"):
-        lse_estimates(ContrastModel(IntMatrix.from_rows([], n_cols=0)), [])
+    empty = ContrastModel(IntMatrix.from_rows([], n_cols=0))
+    for call in (
+        lambda: lse_estimates(empty, []),
+        lambda: covariance_comparison(empty, IntMatrix.from_rows([], n_cols=0)),
+    ):
+        with pytest.raises(RankDeficientError, match="no intercept"):
+            call()
+
+
+def test_a_model_with_its_lse_map_built_equals_a_fresh_one():
+    built, fresh = (to_contrast_form(choice_k_of_2k(3)) for _ in range(2))
+    lse_estimates(built, range(built.n_runs))
+    assert "_lse" in vars(built) and "_lse" not in vars(fresh)
+    assert built == fresh
+    assert hash(built) == hash(fresh)
+    assert repr(built) == repr(fresh)
+
+
+def test_a_model_solves_for_its_lse_map_once(monkeypatch):
+    calls = []
+    solve = contrast.rational_solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(contrast, "rational_solve", counted)
+    model = to_contrast_form(choice_k_of_2k(3))
+    y = range(model.n_runs)
+    z = indicator_matrix(model.n_runs, [[0, 1]])
+    lse_estimates(model, y)
+    assert len(calls) == 1
+    lse_estimates(model, y)
+    naive_block_bias(model, z, [1])
+    covariance_comparison(model, z)
+    assert len(calls) == 1
 
 
 def normal_equation_solution(model, v):

@@ -485,7 +485,7 @@ PINNED_CHECKS = {
 @pytest.mark.parametrize("name, command, fmt", sorted(PINNED_CHECKS))
 def test_check_and_analyse_are_pinned(capsys, tmp_path, edges_file, name, command, fmt):
     design = _pinned_design(name, tmp_path, edges_file, capsys)
-    model = cli._read_model(design)
+    model = cli._read(design, cli._model_of_text)
     n = model.n_runs
     rng = random.Random(f"responses:{name}")
     codes, transcript = [], ""

@@ -17,20 +17,20 @@ from circuitrand.analysis_sim import CovarianceOrdering, covariance_comparison
 from circuitrand.contrast import to_contrast_form
 from circuitrand.design_catalog import factorial_two_level
 from circuitrand.exact_linalg import IntMatrix
-from circuitrand.randomisation import RandomisationSystem, is_decomposable
+from circuitrand.randomisation import RandomisationSystem, _indicator_matrix, is_decomposable
 
 
 @pytest.fixture
 def count_reduce(monkeypatch):
-    """Count the ``_reduce`` calls made through one module."""
+    """Record the vector of each ``_reduce`` call made through one module."""
 
     def install(module):
         calls = []
         inner = module._reduce
 
-        def counted(*args):
-            calls.append(1)
-            return inner(*args)
+        def counted(v, echelon):
+            calls.append(tuple(v))
+            return inner(v, echelon)
 
         monkeypatch.setattr(module, "_reduce", counted)
         return calls
@@ -63,13 +63,22 @@ def test_a_repeated_design_is_reduced_by_the_first_request_only(count_reduce, tm
     assert counts == [factorial_two_level(5).matrix.n_cols + 1, 0]
 
 
-def test_a_valid_blocking_reduces_only_the_contrast_columns(count_reduce):
+def test_a_valid_blocking_reduces_no_column(count_reduce):
     model = to_contrast_form(factorial_two_level(4))
     # run i and its fold-over 15 - i have opposite signs on every factor
     z = RandomisationSystem.from_blocks(16, [(i, 15 - i) for i in range(8)]).indicator_matrix()
     calls = count_reduce(analysis_sim)
     assert covariance_comparison(model, z) == CovarianceOrdering.EQUAL
-    assert len(calls) == model.n_contrasts
+    assert calls == []
+
+
+def test_an_invalid_blocking_reduces_the_contrasts_then_the_blocks(count_reduce):
+    model = to_contrast_form(factorial_two_level(4))
+    # two fold-over pairs, then runs 2 and 3, which agree on three factors
+    z = _indicator_matrix(16, [(0, 15), (1, 14), (2, 3)])
+    calls = count_reduce(analysis_sim)
+    assert covariance_comparison(model, z) == CovarianceOrdering.PROPER_DOMINATES
+    assert calls == [*model.contrast.columns(), *z.columns()]
 
 
 def test_is_decomposable_searches_only_its_own_support(count_steps):
