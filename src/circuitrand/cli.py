@@ -133,12 +133,13 @@ def parse_blocks_text(text: str) -> list[tuple[int, ...]]:
     blocks = []
     for line in _strip_comments(text):
         try:
-            indices = [int(tok) for tok in line.split()]
+            indices = tuple(map(int, line.split()))
         except ValueError:
             raise ValueError(f"block line must hold integers: {line!r}") from None
-        if any(i < 1 for i in indices):
+        # a kept line holds at least one token
+        if min(indices) < 1:
             raise ValueError("run indices are 1-based and must be positive")
-        blocks.append(tuple(i - 1 for i in indices))
+        blocks.append(tuple([i - 1 for i in indices]))
     if not blocks:
         raise ValueError("empty blocks file")
     return blocks
@@ -167,19 +168,32 @@ def parse_edges_text(text: str) -> DirectedGraph:
     return DirectedGraph.from_edges(edges)
 
 
-def parse_rational_list(text: str) -> list[Fraction]:
-    """Whitespace-separated rationals; accepts '3', '1/2', '0.25' and '2.5e3'.
+def _rational(tok: str) -> Fraction:
+    """One token as a ``Fraction``, read with ``int`` when it is ``[-]p[/q]``.
 
-    A decimal exponent beyond 4,300 in absolute value is rejected before
-    ``Fraction`` expands it into a huge integer.
+    ``p`` and ``q`` are ASCII digits and ``q`` is not zero.  Every other
+    token goes to ``Fraction``'s own parser, once a decimal exponent beyond
+    4,300 in absolute value is rejected before ``Fraction`` expands it into
+    a huge integer.
     """
+    num, slash, den = tok.partition("/")
+    if tok.isascii() and num.removeprefix("-").isdigit():
+        if not slash:
+            return Fraction(int(num))
+        if den.isdigit() and den.lstrip("0"):
+            return Fraction(int(num), int(den))
+    _, e, exponent = tok.lower().partition("e")
+    if e and abs(int(exponent)) > _MAX_EXPONENT:
+        raise ValueError
+    return Fraction(tok)
+
+
+def parse_rational_list(text: str) -> list[Fraction]:
+    """Whitespace-separated rationals; accepts '3', '1/2', '0.25' and '2.5e3'."""
     values = []
     for tok in (t for line in _strip_comments(text) for t in line.split()):
         try:
-            _, e, exponent = tok.lower().partition("e")
-            if e and abs(int(exponent)) > _MAX_EXPONENT:
-                raise ValueError
-            values.append(Fraction(tok))
+            values.append(_rational(tok))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse rational number {tok!r}") from None
     return values
@@ -192,7 +206,9 @@ def _read(path: str, parse: Callable[[str], _T]) -> _T:
     space lacks the all-ones vector exits 3.
     """
     try:
-        return parse(Path(path).read_text())
+        with open(path) as file:
+            text = file.read()
+        return parse(text)
     except OSError as exc:
         raise CliError(EXIT_PARAMS, f"cannot read {path}: {exc}") from exc
     except JNotInColumnSpaceError as exc:
@@ -226,11 +242,26 @@ def _design_from_matrix(matrix: IntMatrix) -> DesignModel:
 
 
 def _emit(args: argparse.Namespace, human_lines: Iterable[str], records: dict) -> None:
-    """Print the records as JSON, or the human lines one by one as they come."""
-    if args.format == "records":
-        print(json.dumps(records, indent=2))
-    else:
-        sys.stdout.writelines(line + "\n" for line in human_lines)
+    """Print the records as JSON, or the human lines one by one as they come.
+
+    Values are formatted here, the ``Fraction``s in the records with
+    ``str``.  A result too long for Python to print as an integer exits 5;
+    the human lines before it are already out.
+    """
+    try:
+        if args.format == "records":
+            print(json.dumps(records, indent=2, default=str))
+        else:
+            sys.stdout.writelines(line + "\n" for line in human_lines)
+    except ValueError as exc:
+        # int-to-str conversion has no exception type of its own
+        if "integer string conversion" not in str(exc):
+            raise
+        raise CliError(
+            EXIT_BUDGET,
+            f"budget exceeded: a result has more than {sys.get_int_max_str_digits()} "
+            "digits, Python's limit for printing an integer",
+        ) from exc
 
 
 def _format_block(block: tuple[int, ...]) -> str:
@@ -411,24 +442,18 @@ def cmd_analyse(args: argparse.Namespace) -> int:
     z = _indicator_matrix(model.n_runs, blocks)
     estimates = lse_contrast_estimates(model, y)
     bias = naive_block_bias(model, z, gamma)
-    # estimates are linear in y, so the shift moves them by exactly the bias
-    invariant = not any(bias)
-    ordering = covariance_comparison(model, z)
-    _emit(
-        args,
-        [
-            f"estimates: {_format_fractions(estimates)}",
-            f"bias: {_format_fractions(bias)}",
-            f"invariance: {'exact' if invariant else 'violated'}",
-            f"covariance: {ordering.value}",
-        ],
-        {
-            "estimates": [str(v) for v in estimates],
-            "bias": [str(v) for v in bias],
-            "invariance": "exact" if invariant else "violated",
-            "covariance": ordering.value,
-        },
+    records = {
+        "estimates": estimates,
+        "bias": bias,
+        # estimates are linear in y, so the shift moves them by exactly the bias
+        "invariance": "violated" if any(bias) else "exact",
+        "covariance": covariance_comparison(model, z).value,
+    }
+    lines = (
+        f"{key}: {_format_fractions(value) if isinstance(value, tuple) else value}"
+        for key, value in records.items()
     )
+    _emit(args, lines, records)
     return EXIT_OK
 
 

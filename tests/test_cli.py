@@ -3,12 +3,15 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circuitrand import cli
@@ -82,6 +85,54 @@ def test_parse_rational_list():
 def test_parse_rational_list_bounds_the_exponent(token):
     with pytest.raises(ValueError, match="cannot parse rational number"):
         cli.parse_rational_list(token)
+
+
+# the tokens read with int: ASCII digits, one optional '-', a nonzero denominator
+INT_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def fraction_exponent(token):
+    """The decimal exponent ``Fraction`` would read from the token, else 0."""
+    m = re.fullmatch(r".*e([-+]?\d+(_\d+)*)", token, re.IGNORECASE)
+    return int(m[1]) if m else 0
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.text(alphabet="0123456789-+/._e\u0663", min_size=1, max_size=12))
+@example("-0")
+@example("007")
+@example("12/08")
+@example("3/0")
+@example("0/0")
+@example("1/-2")
+@example("--3")
+@example("+3")
+@example("1_0")
+@example("\u0663")
+@example("9" * 4301)
+def test_parse_rational_list_reads_each_token_as_fraction_does(token):
+    # a spy in place of the module's Fraction records what each token is built from
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    try:
+        # the parser rejects an exponent beyond 4,300 before Fraction expands it
+        expected = [Fraction(token)] if abs(fraction_exponent(token)) <= 4300 else None
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    with mock.patch.object(cli, "Fraction", spy):
+        if expected is None:
+            with pytest.raises(ValueError, match="^cannot parse rational number "):
+                cli.parse_rational_list(token)
+        else:
+            assert cli.parse_rational_list(token) == expected
+    if INT_RATIONAL.fullmatch(token):
+        assert not any(isinstance(arg, str) for args in calls for arg in args)
+    else:
+        assert all(args == (token,) for args in calls)
 
 
 @pytest.mark.parametrize("header", ["100000 0", "0 100000", "4097 1"])
@@ -645,6 +696,36 @@ def test_analyse_records_match_human(capsys, design_file, tmp_path):
     assert data["bias"] == ["1/2", "0", "0"]
     assert data["invariance"] == "violated"
     assert "(-2, -1, -1/2)" in human
+
+
+NINES = "9" * 3000
+
+
+@pytest.mark.parametrize("fmt", ["human", "records"])
+@pytest.mark.parametrize("command", ["analyse", "circuits"])
+def test_a_result_over_the_digit_limit_is_a_budget_error(capsys, tmp_path, command, fmt):
+    # exact results can outgrow the digits Python prints an int with
+    if command == "analyse":
+        design = tmp_path / "d.txt"
+        assert cli.main(["catalog", "factorial", "--k", "2", "-o", str(design)]) == 0
+        (tmp_path / "b.txt").write_text("1 4\n2 3\n")
+        (tmp_path / "y.txt").write_text("1e4300\n1e4300\n-1e4300\n-1e4300\n")
+        (tmp_path / "g.txt").write_text("0\n0\n")
+        argv = [
+            "analyse", str(design), "--system", str(tmp_path / "b.txt"),
+            "--y", str(tmp_path / "y.txt"), "--gamma", str(tmp_path / "g.txt"),
+        ]
+    else:
+        matrix = tmp_path / "m.txt"
+        matrix.write_text(f"2 3\n{NINES} 1 0\n0 {NINES} 1\n")
+        argv = ["circuits", str(matrix)]
+    code, out, err = run(capsys, argv + ["--format", fmt])
+    assert (code, out) == (5, "")
+    assert err == (
+        "circuitrand: budget exceeded: a result has more than 4300 digits, "
+        "Python's limit for printing an integer\n"
+    )
+    assert "Traceback" not in err
 
 
 def test_analyse_simulate(capsys):

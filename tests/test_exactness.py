@@ -5,10 +5,11 @@ exact and byte-reproducible on every platform.  These tests read the source
 of the core modules and reject anything that would bring floating point in:
 the name ``float``, a float literal, true division ``/``, or a call into
 ``math`` other than its integer functions.  They also reject imports from
-outside the standard library and the package.  Only the Monte Carlo part
-of ``analysis_sim`` (``simulate_ab`` and its helpers) and ``cli`` (its
-``--simulate`` options) use floats; the rest of ``analysis_sim`` is checked
-with those definitions left out, and ``cli`` is not checked.
+outside the standard library and the package, in every module.  Only the
+Monte Carlo part of ``analysis_sim`` (``simulate_ab`` and its helpers) and
+``cli`` (its ``--simulate`` options) use floats; the rest of
+``analysis_sim`` is checked for floats with those definitions left out, and
+``cli`` only for its imports.
 """
 
 import ast
@@ -19,6 +20,7 @@ import pytest
 
 import circuitrand
 
+PACKAGE = Path(circuitrand.__file__).parent
 CORE = ["exact_linalg", "circuits", "randomisation", "contrast", "unimodular", "design_catalog"]
 # the float-using Monte Carlo definitions of analysis_sim
 MONTE_CARLO = {"simulate_ab", "_substream", "AbSummary"}
@@ -69,15 +71,20 @@ def foreign_imports(tree: ast.AST) -> list[str]:
 
 @pytest.mark.parametrize("module", CORE)
 def test_core_module_is_exact_and_stdlib_only(module):
-    path = Path(circuitrand.__file__).parent / f"{module}.py"
+    path = PACKAGE / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert float_uses(tree) == []
     assert foreign_imports(tree) == []
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_module_is_stdlib_only(path):
+    assert foreign_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
 def test_exact_linalg_is_integer_only():
     """The elimination core computes with ints alone, so it imports no fractions."""
-    path = Path(circuitrand.__file__).parent / "exact_linalg.py"
+    path = PACKAGE / "exact_linalg.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     for node in ast.walk(tree):
@@ -87,7 +94,7 @@ def test_exact_linalg_is_integer_only():
 
 
 def test_exact_half_of_analysis_sim_is_exact_and_stdlib_only():
-    path = Path(circuitrand.__file__).parent / "analysis_sim.py"
+    path = PACKAGE / "analysis_sim.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     definitions = (ast.FunctionDef, ast.ClassDef)
     names = {node.name for node in tree.body if isinstance(node, definitions)}
