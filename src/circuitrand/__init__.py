@@ -12,9 +12,6 @@ on plain-text files.
 from .analysis_sim import (
     AbSummary,
     CovarianceOrdering,
-    EstimateReport,
-    ExperimentOutcome,
-    analyse_experiment,
     block_shift_invariance,
     covariance_comparison,
     lse_contrast_estimates,
@@ -36,7 +33,6 @@ from .contrast import (
     DesignModel,
     JNotInColumnSpaceError,
     RankDeficientError,
-    empirical_contrast_check,
     to_contrast_form,
 )
 from .design_catalog import (
@@ -55,7 +51,6 @@ from .exact_linalg import (
     IntMatrix,
     NonSquareError,
     SingularError,
-    kernel_basis,
     rank,
     rational_solve,
 )
@@ -69,7 +64,6 @@ from .randomisation import (
     is_valid_randomisation,
     randomisation_vectors,
     refines,
-    shared_blocks,
 )
 from .unimodular import (
     DirectedGraph,
@@ -79,7 +73,7 @@ from .unimodular import (
     is_totally_unimodular,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AbSummary",
@@ -90,8 +84,6 @@ __all__ = [
     "DesignModel",
     "DimensionMismatchError",
     "DirectedGraph",
-    "EstimateReport",
-    "ExperimentOutcome",
     "IntMatrix",
     "JNotInColumnSpaceError",
     "LatinSquare",
@@ -105,7 +97,6 @@ __all__ = [
     "SchemeCatalog",
     "SingularError",
     "TooLargeError",
-    "analyse_experiment",
     "anova_two_way",
     "binary_circuits",
     "block_shift_invariance",
@@ -115,7 +106,6 @@ __all__ = [
     "conformal_decompose",
     "covariance_comparison",
     "digraph_design",
-    "empirical_contrast_check",
     "enumerate_circuit_randomisations",
     "factorial_two_level",
     "incidence_matrix",
@@ -123,7 +113,6 @@ __all__ = [
     "is_eulerian_balanced",
     "is_totally_unimodular",
     "is_valid_randomisation",
-    "kernel_basis",
     "latin_square_blocks",
     "lse_contrast_estimates",
     "lse_estimates",
@@ -134,7 +123,6 @@ __all__ = [
     "randomisation_vectors",
     "rational_solve",
     "refines",
-    "shared_blocks",
     "simulate_ab",
     "to_contrast_form",
 ]

@@ -38,34 +38,6 @@ class CovarianceOrdering(Enum):
     PROPER_DOMINATES = "proper_dominates"
 
 
-@dataclass(frozen=True)
-class ExperimentOutcome:
-    """An observed (or synthesised) response, optionally with its ground truth."""
-
-    y: tuple[Fraction, ...]
-    true_theta: tuple[Fraction, ...] | None = None
-    block_effects: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "y", tuple(Fraction(v) for v in self.y))
-        if self.true_theta is not None:
-            object.__setattr__(
-                self, "true_theta", tuple(Fraction(v) for v in self.true_theta)
-            )
-        object.__setattr__(
-            self, "block_effects", tuple(Fraction(v) for v in self.block_effects)
-        )
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Exact contrast estimates with the block-effect diagnostics."""
-
-    phi_hat: tuple[Fraction, ...]
-    bias: tuple[Fraction, ...]
-    covariance_ordering: CovarianceOrdering
-
-
 def _scaled(values: Sequence) -> tuple[list[int], int]:
     """Integers ``v * scale`` for the least positive ``scale`` that clears ``values``."""
     fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
@@ -190,21 +162,6 @@ def covariance_comparison(model: ContrastModel, z: IntMatrix) -> CovarianceOrder
                 return CovarianceOrdering.PROPER_DOMINATES
             echelon.append(reduced)
     return CovarianceOrdering.EQUAL
-
-
-def analyse_experiment(
-    model: ContrastModel, z: IntMatrix, outcome: ExperimentOutcome
-) -> EstimateReport:
-    """Estimate the contrasts of an outcome and diagnose its blocking."""
-    if len(outcome.y) != model.n_runs:
-        raise DimensionMismatchError("response length does not match the model")
-    if len(outcome.block_effects) != z.n_cols:
-        raise ValueError("one block effect per indicator column is required")
-    return EstimateReport(
-        phi_hat=lse_contrast_estimates(model, outcome.y),
-        bias=naive_block_bias(model, z, outcome.block_effects),
-        covariance_ordering=covariance_comparison(model, z),
-    )
 
 
 @dataclass(frozen=True)

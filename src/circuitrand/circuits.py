@@ -31,11 +31,10 @@ class NotInKernelError(ValueError):
 class Circuit:
     """A primitive kernel vector of minimal support.
 
-    ``support``, ``positive_support`` and ``negative_support`` read sorted
-    0-based coordinate indices off ``vector``.  Vectors produced by
-    :func:`circuit_basis` carry the canonical sign (first nonzero entry
-    positive); sign-aligned copies with the opposite sign appear in
-    conformal decompositions.
+    ``support`` reads the sorted 0-based coordinate indices off
+    ``vector``.  Vectors produced by :func:`circuit_basis` carry the
+    canonical sign (first nonzero entry positive); sign-aligned copies with
+    the opposite sign appear in conformal decompositions.
     """
 
     vector: tuple[int, ...]
@@ -44,29 +43,9 @@ class Circuit:
         if not any(self.vector):
             raise ValueError("a circuit vector must be nonzero")
 
-    @classmethod
-    def from_vector(cls, vector: Sequence[int]) -> "Circuit":
-        """A circuit from integral entries; ``1.0`` reads as ``1``, ``1.9`` raises."""
-        vector = tuple(vector)
-        try:
-            entries = tuple(map(int, vector))
-        except (OverflowError, ValueError) as exc:
-            raise ValueError("circuit entries must be integers") from exc
-        if entries != vector:
-            raise ValueError("circuit entries must be integers")
-        return cls(entries)
-
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.vector) if x)
-
-    @property
-    def positive_support(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.vector) if x > 0)
-
-    @property
-    def negative_support(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.vector) if x < 0)
 
     def negated(self) -> "Circuit":
         return Circuit(tuple(-x for x in self.vector))

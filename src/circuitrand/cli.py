@@ -145,10 +145,6 @@ def parse_blocks_text(text: str) -> list[tuple[int, ...]]:
     return blocks
 
 
-def format_blocks_text(system: RandomisationSystem) -> str:
-    return "\n".join(" ".join(str(i + 1) for i in b) for b in system.blocks) + "\n"
-
-
 def parse_edges_text(text: str) -> DirectedGraph:
     """One 'tail head' pair per line, 1-based vertex numbers."""
     edges = []
@@ -245,23 +241,13 @@ def _emit(args: argparse.Namespace, human_lines: Iterable[str], records: dict) -
     """Print the records as JSON, or the human lines one by one as they come.
 
     Values are formatted here, the ``Fraction``s in the records with
-    ``str``.  A result too long for Python to print as an integer exits 5;
-    the human lines before it are already out.
+    ``str``.  A result too long for Python to print as an integer exits 5
+    from :func:`main`; the human lines before it are already out.
     """
-    try:
-        if args.format == "records":
-            print(json.dumps(records, indent=2, default=str))
-        else:
-            sys.stdout.writelines(line + "\n" for line in human_lines)
-    except ValueError as exc:
-        # int-to-str conversion has no exception type of its own
-        if "integer string conversion" not in str(exc):
-            raise
-        raise CliError(
-            EXIT_BUDGET,
-            f"budget exceeded: a result has more than {sys.get_int_max_str_digits()} "
-            "digits, Python's limit for printing an integer",
-        ) from exc
+    if args.format == "records":
+        print(json.dumps(records, indent=2, default=str))
+    else:
+        sys.stdout.writelines(line + "\n" for line in human_lines)
 
 
 def _format_block(block: tuple[int, ...]) -> str:
@@ -602,6 +588,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"circuitrand: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:
+        # int-to-str conversion has no exception type of its own; every input
+        # is parsed under _read, so only a result being formatted gets here
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"circuitrand: budget exceeded: a result has more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's limit for printing an integer",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
     except BrokenPipeError:
         # the reader went away; point stdout at devnull so the interpreter's
         # exit flush does not fail again, and exit 1 as Python does on EPIPE

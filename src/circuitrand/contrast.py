@@ -11,10 +11,8 @@ the column space of ``X``, and everything downstream reads only ``C``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Sequence
 
 from .exact_linalg import IntMatrix, SingularError, _from_columns, _reduce, rational_solve
 
@@ -131,8 +129,3 @@ def to_contrast_form(design: DesignModel) -> ContrastModel:
     if all(p < n for p, _ in echelon):
         raise JNotInColumnSpaceError("the all-ones vector is not in the column space")
     return ContrastModel(_from_columns(contrasts, n))
-
-
-def empirical_contrast_check(coefficients: Sequence) -> bool:
-    """True when the coefficient vector sums to zero, i.e. defines a contrast."""
-    return sum(Fraction(c) for c in coefficients) == 0

@@ -1,22 +1,22 @@
 """Exact dense linear algebra over the integers.
 
 Everything in this module computes with Python's unbounded integers alone,
-and a solve returns an integer matrix over one common denominator, so ranks,
-kernels and solves are exact at any magnitude.  Matrices are small dense
-tuples of tuples; the library targets design matrices with at most a few
-thousand entries, not bulk numerics.  Entries are checked once, where they
-enter: the public :class:`IntMatrix` constructor and ``from_rows`` check
-every entry, and the matrices the package computes from ints it already
-holds skip that pass through the module-private :func:`_trusted_matrix`.
+and a solve returns an integer matrix over one common denominator, so ranks
+and solves are exact at any magnitude.  Matrices are small dense tuples of
+tuples; the library targets design matrices with at most a few thousand
+entries, not bulk numerics.  Entries are checked once, where they enter:
+the public :class:`IntMatrix` constructor and ``from_rows`` check every
+entry, and the matrices the package computes from ints it already holds
+skip that pass through the module-private :func:`_trusted_matrix`.
 
 The dense algebra has one elimination step, :func:`_reduce`: reduce a
 column against the independent columns kept before it, to a primitive
 remainder that can be read entry by entry.  Rank and pivot columns count
 the columns it keeps.  With a unit vector appended to each column, it also
-records the combination of columns that it took, which gives kernel
-vectors and solves.  The circuit searches in
-:mod:`circuitrand.circuits` read a remainder only when it closes a
-circuit, so they take a fraction-free step on packed columns instead.
+records the combination of columns that it took, which gives solves.  The
+circuit searches in :mod:`circuitrand.circuits` read a remainder only when
+it closes a circuit, so they take a fraction-free step on packed columns
+instead.
 """
 
 from __future__ import annotations
@@ -137,16 +137,6 @@ def _from_columns(columns: Sequence[Sequence[int]], n_rows: int) -> IntMatrix:
     return _trusted_matrix(n_rows, len(columns), rows)
 
 
-def canonical_sign(v: Sequence[int]) -> tuple[int, ...]:
-    """Flip the sign of ``v`` if needed so its first nonzero entry is positive."""
-    for x in v:
-        if x > 0:
-            return tuple(v)
-        if x < 0:
-            return tuple(-y for y in v)
-    return tuple(v)
-
-
 def _reduce(
     v: Sequence[int], echelon: Sequence[tuple[int, tuple[int, ...]]]
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -176,31 +166,6 @@ def _unit(k: int, width: int) -> tuple[int, ...]:
     return tuple(int(i == k) for i in range(width))
 
 
-def _reduce_columns(
-    columns: Sequence[tuple[int, ...]], n_rows: int, width: int
-) -> tuple[list[tuple[int, tuple[int, ...]]], list[tuple[int, ...]]]:
-    """Reduce each column ``c``, unit vector ``c`` of length ``width`` appended.
-
-    Column ``c`` is reduced against the independent columns before it.  The
-    appended part records the combination ``t`` of columns the reduction
-    took, and the first ``n_rows`` entries are ``a t``.  Returns the echelon
-    rows of the independent columns, in column order, which a solve reduces
-    its right-hand sides against, and for each dependent column its appended
-    part: a primitive kernel vector of the columns, zero past ``c`` and on
-    every other dependent column.
-    """
-    echelon = []
-    kernel = []
-    for c, col in enumerate(columns):
-        # the unit entry survives reduction, so the result is never None
-        pivot, v = _reduce(col + _unit(c, width), echelon)
-        if pivot < n_rows:
-            echelon.append((pivot, v))
-        else:
-            kernel.append(v[n_rows:])
-    return echelon, kernel
-
-
 def pivot_columns(m: IntMatrix) -> list[int]:
     """Greedy left-to-right maximal linearly independent set of columns.
 
@@ -223,27 +188,15 @@ def rank(m: IntMatrix) -> int:
     return len(pivot_columns(m))
 
 
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the right kernel ``{v : m v = 0}``.
-
-    One basis vector per free (dependent) column, in order of free column
-    index: the kernel vector that is nonzero on that free column and zero
-    on the others, which the column's reduction leaves in its appended unit
-    part, made primitive with its first nonzero entry positive.  The list
-    has exactly ``m.n_cols - rank(m)`` elements.
-    """
-    _, kernel = _reduce_columns(m.columns(), m.n_rows, m.n_cols)
-    return [canonical_sign(v) for v in kernel]
-
-
 def rational_solve(gram: IntMatrix, rhs: IntMatrix) -> tuple[IntMatrix, int]:
     """Solve ``gram @ X = rhs`` exactly, over one common denominator.
 
     ``gram`` is nonsingular exactly when each of its columns is independent
-    of the ones before it.  Then each column ``b`` of ``rhs``, reduced with
-    a unit appended, leaves a primitive ``(beta, alpha)`` with
-    ``alpha b + gram beta = 0``, so its solution is ``-beta / alpha`` and
-    ``|alpha|`` is its least denominator.  Returns ``(N, d)`` with ``d``
+    of the ones before it: reduced with a unit appended, it keeps a nonzero
+    entry among its first ``n``, else the solve stops there.  Then each
+    column ``b`` of ``rhs``, reduced with a unit appended, leaves a
+    primitive ``(beta, alpha)`` with ``alpha b + gram beta = 0``, so its
+    solution is ``-beta / alpha`` and ``|alpha|`` is its least denominator.  Returns ``(N, d)`` with ``d``
     the lcm of those denominators, the least positive ``d`` that makes
     ``N = d X`` integer, so ``gram.mul(N) == d * rhs`` exactly.  ``gram``
     must be square (else :class:`NonSquareError`) and nonsingular (else
@@ -254,9 +207,13 @@ def rational_solve(gram: IntMatrix, rhs: IntMatrix) -> tuple[IntMatrix, int]:
     if rhs.n_rows != gram.n_rows:
         raise ValueError("right-hand side row count does not match")
     n = gram.n_rows
-    echelon, kernel = _reduce_columns(gram.columns(), n, n + 1)
-    if kernel:
-        raise SingularError("coefficient matrix is singular")
+    echelon = []
+    for c, col in enumerate(gram.columns()):
+        # the unit entry survives reduction, so the result is never None
+        pivot, v = _reduce(col + _unit(c, n + 1), echelon)
+        if pivot >= n:
+            raise SingularError("coefficient matrix is singular")
+        echelon.append((pivot, v))
     # every reduced column is zero in its first n entries
     reduced = [_reduce(b + _unit(n, n + 1), echelon)[1][n:] for b in rhs.columns()]
     d = lcm(*(v[-1] for v in reduced))

@@ -75,9 +75,6 @@ class RandomisationSystem:
         """Block sizes in descending order."""
         return tuple(sorted((len(b) for b in self.blocks), reverse=True))
 
-    def indicator(self, block_index: int) -> tuple[int, ...]:
-        return self.indicator_matrix().column(block_index)
-
     def indicator_matrix(self) -> IntMatrix:
         """The ``n_runs x n_blocks`` 0/1 block indicator matrix."""
         return _indicator_matrix(self.n_runs, self.blocks)
@@ -248,16 +245,6 @@ def refines(r1: RandomisationSystem, r2: RandomisationSystem) -> bool:
         raise DimensionMismatchError("systems have different run counts")
     bigger = [set(b) for b in r2.blocks]
     return all(any(set(b) <= big for big in bigger) for b in r1.blocks)
-
-
-def shared_blocks(
-    r1: RandomisationSystem, r2: RandomisationSystem
-) -> list[tuple[int, ...]]:
-    """The blocks the two systems have in common, in canonical order."""
-    if r1.n_runs != r2.n_runs:
-        raise DimensionMismatchError("systems have different run counts")
-    common = set(r1.blocks) & set(r2.blocks)
-    return sorted(common, key=lambda b: (len(b), b[0]))
 
 
 def enumerate_circuit_randomisations(

@@ -122,6 +122,12 @@ def brute_circuit_vectors(rows: list[list[int]], n_cols: int) -> list[tuple[int,
     return sorted(found)
 
 
+def canonical_sign(v: Sequence[int]) -> tuple[int, ...]:
+    """``v`` or ``-v``, whichever has its first nonzero entry positive."""
+    lead = next((x for x in v if x), 0)
+    return tuple(-x for x in v) if lead < 0 else tuple(v)
+
+
 def identity(n: int) -> list[list[int]]:
     """Rows of the n x n identity matrix."""
     return [[int(i == j) for j in range(n)] for i in range(n)]

@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from circuitrand import contrast
 from circuitrand.analysis_sim import (
     CovarianceOrdering,
-    EstimateReport,
-    ExperimentOutcome,
     RankDeficientError,
-    analyse_experiment,
     block_shift_invariance,
     covariance_comparison,
     lse_contrast_estimates,
@@ -245,13 +242,11 @@ def test_every_analysis_raises_one_error_for_dependent_contrasts():
     model = hand_built_model(4, [(1, -1, 0, 0), (2, -2, 0, 0)])
     z = indicator_matrix(4, [[0, 1], [2, 3]])
     y = [1, 2, 3, 4]
-    outcome = ExperimentOutcome(y=tuple(y), block_effects=(1, 2))
     for call in (
         lambda: covariance_comparison(model, z),
         lambda: lse_estimates(model, y),
         lambda: lse_contrast_estimates(model, y),
         lambda: naive_block_bias(model, z, [1, 2]),
-        lambda: analyse_experiment(model, z, outcome),
     ):
         with pytest.raises(RankDeficientError, match="the contrast columns are linearly dependent"):
             call()
@@ -334,16 +329,6 @@ def test_estimates_and_bias_match_the_normal_equations(data):
     bias = naive_block_bias(model, z, gamma)
     assert bias == normal_equation_solution(model, z.mul_vector(gamma))[1:]
     assert all(type(v) is Fraction for v in bias)
-
-
-def test_analyse_experiment_report(model_2cubed):
-    z = indicator_matrix(8, [[0, 1, 2, 3]])
-    outcome = ExperimentOutcome(y=tuple(Fraction(i) for i in range(1, 9)), block_effects=(Fraction(1),))
-    report = analyse_experiment(model_2cubed, z, outcome)
-    assert isinstance(report, EstimateReport)
-    assert report.phi_hat == lse_contrast_estimates(model_2cubed, [Fraction(i) for i in range(1, 9)])
-    assert report.bias == (Fraction(1, 2), Fraction(0), Fraction(0))
-    assert report.covariance_ordering == CovarianceOrdering.PROPER_DOMINATES
 
 
 def test_simulate_ab_zero_sd_is_exact():

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -72,8 +75,6 @@ def test_matrix_text_rejects_bad_counts():
 def test_blocks_text_round_trip():
     blocks = cli.parse_blocks_text("1 4 6 7\n2 3 5 8\n")
     assert blocks == [(0, 3, 5, 6), (1, 2, 4, 7)]
-    system = cli.RandomisationSystem.from_blocks(8, blocks)
-    assert cli.parse_blocks_text(cli.format_blocks_text(system)) == list(system.blocks)
 
 
 def test_parse_rational_list():
@@ -699,13 +700,21 @@ def test_analyse_records_match_human(capsys, design_file, tmp_path):
 
 
 NINES = "9" * 3000
+# a design whose block {1, 2} has an inner product A + B of 4,301 digits
+A_4300 = "9" * 4300
+B_4300 = "9" * 4299 + "8"
+BIG_PRODUCT_DESIGN = f"4 2\n1 {A_4300}\n1 {B_4300}\n1 -{A_4300}\n1 -{B_4300}\n"
 
 
 @pytest.mark.parametrize("fmt", ["human", "records"])
-@pytest.mark.parametrize("command", ["analyse", "circuits"])
+@pytest.mark.parametrize("command", ["analyse", "circuits", "check"])
 def test_a_result_over_the_digit_limit_is_a_budget_error(capsys, tmp_path, command, fmt):
     # exact results can outgrow the digits Python prints an int with
-    if command == "analyse":
+    if command == "check":
+        (tmp_path / "m.txt").write_text(BIG_PRODUCT_DESIGN)
+        (tmp_path / "b.txt").write_text("1 2\n3 4\n")
+        argv = ["randomise", str(tmp_path / "m.txt"), "--check", str(tmp_path / "b.txt")]
+    elif command == "analyse":
         design = tmp_path / "d.txt"
         assert cli.main(["catalog", "factorial", "--k", "2", "-o", str(design)]) == 0
         (tmp_path / "b.txt").write_text("1 4\n2 3\n")
@@ -726,6 +735,150 @@ def test_a_result_over_the_digit_limit_is_a_budget_error(capsys, tmp_path, comma
         "Python's limit for printing an integer\n"
     )
     assert "Traceback" not in err
+
+
+# tokens that a parser must reject, or accept at the edge of the digit limit
+_ODD_TOKENS = st.sampled_from(
+    ["-0", "007", "1/2", "1.5", "2e3", "1e4300", "1e99999", "1/0", "nan", "x", "\u0663",
+     A_4300, "9" * 4301]
+)
+_FLOATS = st.sampled_from(["0", "1.5", "-2", "nan", "inf", "1e308", "-1e308", "x"])
+# True nine times in ten; hypothesis draws the ends of an integer range more often
+_USUALLY = st.sampled_from([True] * 9 + [False])
+
+
+@st.composite
+def _tokens(draw, count, low=-2, high=2):
+    """``count`` small integer tokens, one of them odd now and then."""
+    tokens = draw(st.lists(st.integers(low, high).map(str), min_size=count, max_size=count))
+    if tokens and not draw(_USUALLY):
+        tokens[draw(st.integers(0, count - 1))] = draw(_ODD_TOKENS)
+    return tokens
+
+
+@st.composite
+def _matrix_texts(draw, m, n):
+    """An ``m x n`` matrix file, with a bad header or entry count now and then."""
+    header = draw(st.sampled_from([f"{m} {n}"] * 6 + [f"{m}", f"{m} -{n}", "a b"]))
+    tokens = draw(_tokens(max(m * n + draw(st.sampled_from([0] * 6 + [1, -1])), 0)))
+    if n and draw(_USUALLY):
+        # an intercept column, so that more designs reach the contrast form
+        tokens[::n] = ["1"] * len(tokens[::n])
+    rows = [" ".join(tokens[i : i + n]) for i in range(0, len(tokens), n or 1)]
+    return "\n".join(["# drawn", header, *rows]) + "\n"
+
+
+@st.composite
+def _blocks_texts(draw, m):
+    """A partition of runs 1..m into lines, or of some other range, or junk."""
+    runs = list(range(1, draw(st.sampled_from([m, m, m, m + 1, 2])) + 1))
+    runs = draw(st.permutations(runs))
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(runs) - 1, 1)), max_size=2)))
+    lines = [" ".join(map(str, runs[i:j])) for i, j in zip([0, *cuts], [*cuts, len(runs)])]
+    if not draw(_USUALLY):
+        lines.append(" ".join(draw(_tokens(draw(st.integers(1, 3)), 0, 5))))
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def _vector_texts(draw, size):
+    """``size`` rationals, one more or fewer now and then."""
+    size = max(size + draw(st.sampled_from([0] * 6 + [1, -1])), 0)
+    return "".join(t + "\n" for t in draw(_tokens(size, -5, 5)))
+
+
+@st.composite
+def _cli_cases(draw):
+    """An argv for one subcommand and the files it names.
+
+    An argument ``@name`` stands for the file ``name`` of the returned dict,
+    or for a path where no file exists when the dict has no such name.
+    """
+    command = draw(st.sampled_from(["catalog", "circuits", "randomise", "tu", "analyse"]))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    files: dict[str, str] = {}
+    argv = [command]
+
+    def flags(*names):
+        return [name for name in names if draw(st.booleans())]
+
+    def options(*pairs):
+        return [f"{opt}={draw(values)}" for opt, values in pairs if draw(_USUALLY)]
+
+    def file(name, strategy):
+        if draw(_USUALLY):
+            files[name] = draw(strategy)
+        return "@" + name
+
+    if command == "catalog":
+        family = draw(st.sampled_from(["factorial", "anova2", "choice", "digraph"]))
+        argv.append(family)
+        if family == "digraph":
+            pairs = st.lists(st.integers(0, 5).map(str), min_size=1, max_size=3).map(" ".join)
+            edges = st.lists(pairs, max_size=8).map(lambda ls: "".join(x + "\n" for x in ls))
+            argv += ["--edges", file("e", edges)]
+        small = st.integers(-1, 3)
+        argv += options(("--k", small), ("--I", small), ("--J", small))
+        if draw(st.booleans()):
+            argv += ["-o", "@out"]
+    elif command == "circuits":
+        argv.append(file("m", _matrix_texts(m, n)))
+        argv += flags("--nonnegative", "--binary", "--transpose")
+    elif command == "randomise":
+        argv.append(file("m", _matrix_texts(m, n)))
+        mode = draw(st.sampled_from(["--enumerate", "--check"] * 4 + ["both", "neither"]))
+        if mode in ("--enumerate", "both"):
+            argv.append("--enumerate")
+        if mode in ("--check", "both"):
+            argv += ["--check", file("b", _blocks_texts(m))]
+        argv += flags("--shapes", "--lattice", "--include-full")
+    elif command == "tu":
+        argv += [file("m", _matrix_texts(m, n)), *options(("--cap", st.integers(-1, 300)))]
+    elif draw(st.booleans()):
+        argv += ["--simulate", f"--replications={draw(st.integers(-1, 50))}"]
+        argv += options(
+            ("--n1", st.integers(-1, 5)),
+            ("--n2", st.integers(-1, 5)),
+            ("--theta1", _FLOATS),
+            ("--theta2", _FLOATS),
+            ("--sd", _FLOATS),
+            ("--seed", st.integers(-2, 99)),
+        )
+    else:
+        if draw(_USUALLY):
+            argv.append(file("m", _matrix_texts(m, n)))
+        blocks = draw(_blocks_texts(m))
+        for opt, name, strategy in (
+            ("--system", "s", st.just(blocks)),
+            ("--y", "y", _vector_texts(m)),
+            ("--gamma", "g", _vector_texts(blocks.count("\n"))),
+        ):
+            if draw(_USUALLY):
+                argv += [opt, file(name, strategy)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["human", "records"]))]
+    return argv, files
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_cases())
+@example((["randomise", "@m", "--check", "@b"], {"m": BIG_PRODUCT_DESIGN, "b": "1 2\n3 4\n"}))
+def test_no_drawn_input_ends_in_a_traceback(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files.items():
+            Path(d, name).write_text(text)
+        argv = [os.path.join(d, a[1:]) if a.startswith("@") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                # argparse rejects the command line itself with status 2
+                assert exc.code == 2
+                code = 2
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_analyse_simulate(capsys):

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +6,6 @@ from circuitrand.contrast import (
     ContrastModel,
     DesignModel,
     JNotInColumnSpaceError,
-    empirical_contrast_check,
     to_contrast_form,
 )
 from circuitrand.design_catalog import (
@@ -34,7 +31,6 @@ def test_contrast_columns_sum_to_zero():
     model = to_contrast_form(factorial_two_level(3))
     for col in model.contrast.columns():
         assert sum(col) == 0
-        assert empirical_contrast_check(col)
 
 
 def test_factorial_contrast_is_the_sign_matrix():
@@ -99,12 +95,6 @@ def test_unbalanced_design_gets_centred():
     col = model.contrast.column(0)
     assert sum(col) == 0
     assert col == (1, 1, -2)
-
-
-def test_empirical_contrast_check():
-    assert empirical_contrast_check([1, -1, 0])
-    assert empirical_contrast_check([Fraction(1, 2), Fraction(-1, 2)])
-    assert not empirical_contrast_check([1, 1])
 
 
 @st.composite

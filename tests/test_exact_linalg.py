@@ -18,8 +18,6 @@ from circuitrand.exact_linalg import (
     IntMatrix,
     NonSquareError,
     SingularError,
-    canonical_sign,
-    kernel_basis,
     pivot_columns,
     rank,
     rational_solve,
@@ -90,28 +88,6 @@ def test_rank_of_zero_and_empty():
     assert rank(IntMatrix.from_rows([], n_cols=3)) == 0
 
 
-def test_kernel_basis_spans_the_kernel():
-    rng = random.Random(11)
-    for _ in range(100):
-        n_rows = rng.randint(1, 4)
-        n_cols = rng.randint(1, 6)
-        rows = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)]
-        m = IntMatrix.from_rows(rows, n_cols=n_cols)
-        basis = kernel_basis(m)
-        assert len(basis) == n_cols - rank(m)
-        for v in basis:
-            assert m.mul_vector(v) == (0,) * n_rows
-            assert v == canonical_sign(v)
-            g = 0
-            for x in v:
-                g = __import__("math").gcd(g, abs(x))
-            assert g == 1
-
-
-def test_kernel_of_full_rank_matrix_is_empty():
-    assert kernel_basis(IntMatrix.from_rows(oracles.identity(4))) == []
-
-
 def test_rational_solve_round_trip():
     a = IntMatrix.from_rows([[2, 1], [1, 3]])
     n, d = rational_solve(a, IntMatrix.from_rows([[1], [0]]))
@@ -172,8 +148,6 @@ def integer_matrices(draw):
 def test_kernel_basis_and_pivots_match_the_rref_oracle(drawn):
     rows, n_cols = drawn
     m = IntMatrix.from_rows(rows, n_cols=n_cols)
-    expected = [oracles.primitive(v) for v in oracles.nullspace(rows, n_cols)]
-    assert kernel_basis(m) == expected
     _, pivots = oracles.rref([[Fraction(x) for x in row] for row in rows])
     assert pivot_columns(m) == pivots
     assert rank(m) == len(pivots)
@@ -198,12 +172,6 @@ def test_rational_solve_matches_the_rref_oracle(n, k, data):
     # d is the least common denominator of the solution
     assert d == math.lcm(*(v.denominator for row in expected for v in row))
     assert gram.mul(x).rows == tuple(tuple(d * v for v in row) for row in rhs.rows)
-
-
-def test_canonical_sign():
-    assert canonical_sign([0, -2, 1]) == (0, 2, -1)
-    assert canonical_sign([3, -1]) == (3, -1)
-    assert canonical_sign([0, 0]) == (0, 0)
 
 
 def assert_built_as_checked(m: IntMatrix) -> None:

@@ -26,7 +26,6 @@ from circuitrand.randomisation import (
     is_valid_randomisation,
     randomisation_vectors,
     refines,
-    shared_blocks,
 )
 from circuitrand.unimodular import DirectedGraph
 
@@ -111,7 +110,6 @@ def test_indicator_matrix():
     z = s.indicator_matrix()
     assert z.n_rows == 4 and z.n_cols == 2
     assert z.columns() == [(1, 0, 0, 1), (0, 1, 1, 0)]
-    assert s.indicator(1) == (0, 1, 1, 0)
 
 
 def test_is_valid_randomisation(model_2cubed):
@@ -300,8 +298,6 @@ def test_refines_and_shared_blocks():
     assert not refines(coarse, fine)
     assert refines(fine, fine)
     assert not refines(other, coarse)
-    assert shared_blocks(fine, coarse) == [(0, 1)]
-    assert shared_blocks(fine, other) == [(4, 5)]
 
 
 def test_refinement_edges_cover_relation():
