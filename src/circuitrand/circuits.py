@@ -9,6 +9,12 @@ basis is the finite set of all circuits.  Every kernel vector decomposes as
 a positive rational combination of circuits that are sign-compatible with it
 (a conformal decomposition); circuits are the atoms from which all kernel
 vectors, in particular all block randomisation indicators, are built.
+
+A network matrix, whose every column holds at most one +1 and at most one
+-1, is a directed graph's incidence matrix less one row, and its circuits
+are the graph's cycles; both searches list those by walking the graph.
+Every other matrix takes a depth-first search over independent column
+sets, eliminated by one fraction-free step.
 """
 
 from __future__ import annotations
@@ -73,6 +79,121 @@ class CircuitBasis:
 
 def circuit_basis(a: IntMatrix) -> CircuitBasis:
     """Enumerate every circuit of ``a``.
+
+    A network matrix, one whose every column holds at most one +1, at most
+    one -1 and zeros elsewhere, has the cycles of its graph as circuits,
+    and :func:`_cycle_vectors` lists them with no elimination.  Every other
+    matrix goes to :func:`_general_basis`.
+    """
+    vectors = _cycle_vectors(a, directed=False)
+    if vectors is None:
+        return _general_basis(a)
+    return CircuitBasis(matrix=a, circuits=tuple(map(Circuit, vectors)))
+
+
+def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
+    """The 0/1 circuits of ``a``, found without the full circuit basis.
+
+    A network matrix's are the directed cycles of its graph, listed by
+    :func:`_cycle_vectors`; every other matrix goes to
+    :func:`_general_binary`.  The vectors come back in ascending
+    lexicographic order: the list
+    ``[c.vector for c in binary_circuits(circuit_basis(a))]``.
+    """
+    vectors = _cycle_vectors(a, directed=True)
+    return _general_binary(a) if vectors is None else vectors
+
+
+def _network_edges(lines: Sequence[tuple[int, ...]]) -> list[tuple[int, int]] | None:
+    """Each line as a directed edge ``(tail, head)``, or None if one is not.
+
+    A network line holds at most one +1, at most one -1 and zeros
+    elsewhere.  Its tail is the row of its +1 and its head the row of its
+    -1; a missing end is the ground vertex ``len(line)``, so a zero line is
+    a loop at ground.  The lines are then the columns of a directed graph's
+    incidence matrix with the ground row deleted.  That row is minus the
+    sum of the others, so the kernel is the same, and a submatrix of a
+    totally unimodular matrix is totally unimodular.
+    """
+    edges = []
+    for line in lines:
+        ground = len(line)
+        plus, minus = line.count(1), line.count(-1)
+        if plus > 1 or minus > 1 or plus + minus + line.count(0) != ground:
+            return None
+        edges.append((line.index(1) if plus else ground, line.index(-1) if minus else ground))
+    return edges
+
+
+def _cycle_vectors(a: IntMatrix, directed: bool) -> list[tuple[int, ...]] | None:
+    """The circuits of a network matrix as cycles of its graph, or None.
+
+    The circuits of a directed graph's incidence matrix are its cycles
+    (Oxley, *Matroid Theory*, 2nd ed., 2011, §5.1; Schrijver, *Theory of
+    Linear and Integer Programming*, 1986, ch. 19): walked in either
+    direction, an edge gets +1 when travelled from tail to head and -1
+    otherwise, so the entries of each vertex cancel.  A loop is a circuit
+    of one edge.  The binary circuits, with ``directed``, are the cycles
+    travelled with every edge from tail to head.
+
+    The columns are the edges of :func:`_network_edges`; None means some
+    column is not a network column.  From each start vertex ``s`` in turn
+    the search walks every simple path through vertices above ``s``, and
+    an edge back to ``s`` closes a cycle, so each cycle is found from its
+    lowest vertex only.  Undirected, it is found once in each direction
+    and kept when its first edge index is below its closing edge index;
+    directed, walking edges only from tail to head finds it once.  The
+    walk keeps an explicit stack of iterators, not recursion, since a
+    cycle may pass through every row.  Each cycle is signed so that its
+    lowest edge is +1, and the vectors come back sorted.
+    """
+    edges = _network_edges(a.columns())
+    if edges is None:
+        return None
+    n, ground = a.n_cols, a.n_rows
+    # around[v]: (w, j, sign) for each edge j from v to w, sign +1 when v is its tail
+    around: list[list[tuple[int, int, int]]] = [[] for _ in range(ground + 1)]
+    vectors = []
+
+    def emit(cycle: list[tuple[int, int]]) -> None:
+        u = [0] * n
+        flip = min(cycle)[1]
+        for j, sign in cycle:
+            u[j] = sign * flip
+        vectors.append(tuple(u))
+
+    for j, (t, h) in enumerate(edges):
+        if t == h:
+            emit([(j, 1)])
+            continue
+        around[t].append((h, j, 1))
+        if not directed:
+            around[h].append((t, j, -1))
+    on_path = [False] * (ground + 1)
+    for s in range(ground + 1):
+        path: list[tuple[int, int, int]] = []
+        stack = [iter(around[s])]
+        while stack:
+            for w, j, sign in stack[-1]:
+                if w == s:
+                    # no edge leaves s back to s, so path holds the first edge
+                    if directed or path[0][1] < j:
+                        emit([(i, x) for _, i, x in path] + [(j, sign)])
+                elif w > s and not on_path[w]:
+                    on_path[w] = True
+                    path.append((w, j, sign))
+                    stack.append(iter(around[w]))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    on_path[path.pop()[0]] = False
+    vectors.sort()
+    return vectors
+
+
+def _general_basis(a: IntMatrix) -> CircuitBasis:
+    """Every circuit of ``a``, by elimination over independent column sets.
 
     Every circuit ``C`` is the fundamental circuit of its largest column
     ``j`` over the independent set ``I = C - {j}``: the kernel of
@@ -212,8 +333,8 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
     return CircuitBasis(matrix=a, circuits=tuple(map(Circuit, vectors)))
 
 
-def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
-    """The 0/1 circuits of ``a``, found without the full circuit basis.
+def _general_binary(a: IntMatrix) -> list[tuple[int, ...]]:
+    """The 0/1 circuits of ``a``, by elimination over independent column sets.
 
     A column set ``S`` carries a binary circuit exactly when
     ``S = I + {c}`` with ``I`` linearly independent, ``c > max(I)`` and
@@ -221,7 +342,7 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
     spans the kernel of ``a[:, S]``, whose nullity is one.  Depth-first
     search over independent sets ``I`` in increasing index order, at most
     ``rank(a)`` deep, carrying the running column sum.  As in
-    :func:`circuit_basis`, a node holds its pending columns, the
+    :func:`_general_basis`, a node holds its pending columns, the
     ``j > max(I)`` independent of ``I`` eliminated at the pivots of ``I``,
     here with no unit part; choosing one takes each later pending column
     one :func:`_step` against it, and a column that becomes zero is
@@ -269,8 +390,7 @@ def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
     the next, the packing is unique, and the top bit of a biased field is
     set exactly when the field is nonnegative.
 
-    The vectors come back in ascending lexicographic order: the list
-    ``[c.vector for c in binary_circuits(circuit_basis(a))]``.
+    The vectors come back in ascending lexicographic order.
     """
     m, n = a.n_rows, a.n_cols
     cols = a.columns()
@@ -382,7 +502,7 @@ def _step(column: int, q: int, row: int, p: int, prev: int) -> int:
 def _reach(
     cols: Sequence[tuple[int, ...]], shifts: Sequence[int], depth: int, guard: int
 ) -> list[list[int]]:
-    """``reach[s][t]`` of :func:`binary_circuit_vectors` for ``t <= depth``.
+    """``reach[s][t]`` of :func:`_general_binary` for ``t <= depth``.
 
     Field ``r`` of a column holds its row ``r`` entry, field ``m + r`` the
     negated entry.  Scanning the columns from the right, each field keeps

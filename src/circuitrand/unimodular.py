@@ -5,9 +5,10 @@ A matrix is totally unimodular when every square submatrix has determinant
 For such contrast matrices every randomisation vector is a sum of binary
 circuits, so the circuit-based catalog of randomisation systems is
 complete.  Incidence matrices of directed graphs are the standard source of
-totally unimodular examples; their circuits with constant sign correspond to
-closed walks, which exist in abundance exactly when the graph is Eulerian
-balanced.
+totally unimodular examples; their circuits with constant sign are the
+directed simple cycles of the graph, which cover every edge exactly when
+each weakly connected component is strongly connected, as in an Eulerian
+balanced graph.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import comb
 from operator import add, index, sub
 from typing import Iterable
 
+from .circuits import _network_edges
 from .exact_linalg import IntMatrix, _trusted_matrix
 
 
@@ -107,6 +109,11 @@ def is_totally_unimodular(a: IntMatrix, size_cap: int = DEFAULT_SIZE_CAP) -> boo
     first line positive.  The budget is still counted in square
     submatrices, ``comb(m + n, m) - 1`` of them by Vandermonde's identity,
     and :class:`TooLargeError` is raised when that exceeds ``size_cap``.
+
+    Within the budget, a network matrix (every column, or every row,
+    holding at most one +1 and at most one -1) is a submatrix of a directed
+    graph's incidence matrix, so it is totally unimodular with no scan
+    (Schrijver 1986, ch. 19).
     """
     n_rows, n_cols = a.n_rows, a.n_cols
     if any(x not in (-1, 0, 1) for row in a.rows for x in row):
@@ -114,6 +121,8 @@ def is_totally_unimodular(a: IntMatrix, size_cap: int = DEFAULT_SIZE_CAP) -> boo
     total = comb(n_rows + n_cols, n_rows) - 1
     if total > size_cap:
         raise TooLargeError(total, size_cap)
+    if _network_edges(a.columns()) is not None or _network_edges(a.rows) is not None:
+        return True
     lines = a.rows if n_rows <= n_cols else tuple(a.columns())
     for k in range(2, len(lines) + 1):
         for first, *rest in combinations(lines, k):

@@ -335,9 +335,11 @@ def test_catalog_circuit_bases_are_pinned(name):
 
 
 def test_each_reduction_takes_at_most_one_row(monkeypatch):
-    # the searches carry eliminated columns down the tree, so every (I, j)
-    # pair takes one step against the one pivot row that the last pick
-    # added.  A step takes a single packed row, so it cannot take more
+    # the general searches carry eliminated columns down the tree, so every
+    # (I, j) pair takes one step against the one pivot row that the last
+    # pick added.  A step takes a single packed row, so it cannot take more.
+    # digraph5 is a network matrix, which the public searches send to the
+    # cycle search, so the general ones are called by name
     assert list(inspect.signature(circuits._step).parameters) == ["column", "q", "row", "p", "prev"]
     rows = []
     step = circuits._step
@@ -350,10 +352,10 @@ def test_each_reduction_takes_at_most_one_row(monkeypatch):
     for name in ("anova 4x4", "digraph5"):
         matrix, count, digest = PINNED_BASES[name]
         ct = matrix()
-        basis = circuit_basis(ct)
+        basis = circuits._general_basis(ct)
         assert len(basis) == count
         assert _digest(basis.vectors()) == digest
-        assert binary_circuit_vectors(ct) == [c.vector for c in binary_circuits(basis)]
+        assert circuits._general_binary(ct) == [c.vector for c in binary_circuits(basis)]
     assert rows
     assert all(type(row) is int for row in rows)
 
@@ -362,9 +364,10 @@ def test_complete_graph_basis_skips_nodes_that_hold_no_circuit(count_steps):
     # the circuits of K7 are its cycles: C(7, k) vertex sets of size k, each
     # carrying (k - 1)! / 2 cycles.  Making every pending column a node and
     # entering every subtree takes 41,827 reductions here; closing the last
-    # level in pairs and skipping dead subtrees takes 8,832
+    # level in pairs and skipping dead subtrees takes 8,832.  The public
+    # search lists these cycles with no step, so the general one is called
     edges = [(i, j) for i in range(7) for j in range(i + 1, 7)]
-    basis = circuit_basis(incidence_matrix(DirectedGraph.from_edges(edges, 7)))
+    basis = circuits._general_basis(incidence_matrix(DirectedGraph.from_edges(edges, 7)))
     assert len(basis) == sum(comb(7, k) * factorial(k - 1) // 2 for k in range(3, 8)) == 1172
     assert len(count_steps) <= 10_000
 
@@ -400,11 +403,14 @@ def test_anova_six_by_six_binary_circuits():
 
 @st.composite
 def multigraph_incidences(draw):
-    """Incidence matrices of directed multigraphs on up to 5 vertices.
+    """Network matrices from directed multigraphs on up to 5 vertices.
 
     Up to 9 edges, some of them parallel or antiparallel copies of others;
-    vertices that no edge touches stay isolated.  Cycles close after few
-    columns, so many columns turn dependent early in the search.
+    vertices that no edge touches stay isolated.  Sometimes one vertex's
+    row is dropped, which leaves each of its edges one nonzero entry (an
+    edge to the ground vertex), and zero columns (loops) are added, up to
+    9 columns in all.  Cycles close after few columns, so many columns turn
+    dependent early in the general search.
     """
     n_vertices = draw(st.integers(2, 5))
     vertex = st.integers(0, n_vertices - 1)
@@ -412,16 +418,65 @@ def multigraph_incidences(draw):
     edges = draw(st.lists(edge, min_size=1, max_size=6))
     for t, h in draw(st.lists(st.sampled_from(edges), max_size=3)):
         edges.append(draw(st.sampled_from([(t, h), (h, t)])))
-    edges = draw(st.permutations(edges))
-    return incidence_matrix(DirectedGraph.from_edges(edges, n_vertices))
+    rows = list(incidence_matrix(DirectedGraph.from_edges(edges, n_vertices)).rows)
+    if draw(st.booleans()):
+        del rows[draw(vertex)]
+    cols = list(zip(*rows))
+    cols += [(0,) * len(rows)] * draw(st.integers(0, 9 - len(cols)))
+    cols = draw(st.permutations(cols))
+    return IntMatrix.from_rows([[c[r] for c in cols] for r in range(len(rows))], n_cols=len(cols))
 
 
 @settings(max_examples=150, deadline=None)
 @given(multigraph_incidences())
+# a ground column, an antiparallel pair to ground and a loop
+@example(IntMatrix.from_rows([[1, 0, 1, -1], [-1, 0, 0, 1]]))
 def test_circuit_searches_match_oracle_on_multigraph_incidences(m):
+    brute = oracles.brute_circuit_vectors([list(r) for r in m.rows], m.n_cols)
+    binary = [v for v in brute if set(v) <= {0, 1}]
+    assert circuits._cycle_vectors(m, directed=False) is not None
+    assert circuit_basis(m).vectors() == brute
+    assert circuits._general_basis(m).vectors() == brute
+    assert binary_circuit_vectors(m) == binary
+    assert circuits._general_binary(m) == binary
+
+
+@pytest.mark.parametrize("name", ["digraph5", "incidence 7"])
+def test_network_matrices_take_no_elimination_step(count_steps, name):
+    matrix, count, digest = PINNED_BASES[name]
+    m = matrix()
     vectors = circuit_basis(m).vectors()
-    assert vectors == oracles.brute_circuit_vectors([list(r) for r in m.rows], m.n_cols)
+    assert (len(vectors), _digest(vectors)) == (count, digest)
     assert binary_circuit_vectors(m) == [v for v in vectors if set(v) <= {0, 1}]
+    assert count_steps == []
+
+
+def test_one_column_off_network_takes_the_general_search(count_steps):
+    # K4 with the directed cycles 0 -> 1 -> 2 -> 0, 2 -> 3 -> 1 -> 2 and
+    # 0 -> 3 -> 1 -> 2 -> 0, plus a column with two +1 entries, which no edge has
+    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (2, 3)]
+    rows = [list(r) for r in incidence_matrix(DirectedGraph.from_edges(edges, 4)).rows]
+    for row, x in zip(rows, (1, 1, -1, 0)):
+        row.insert(3, x)
+    m = IntMatrix.from_rows(rows)
+    assert circuits._cycle_vectors(m, directed=False) is None
+    brute = oracles.brute_circuit_vectors(rows, m.n_cols)
+    assert circuit_basis(m).vectors() == brute
+    basis_steps = len(count_steps)
+    assert basis_steps > 0
+    assert binary_circuit_vectors(m) == [v for v in brute if set(v) <= {0, 1}]
+    assert len(count_steps) > basis_steps
+
+
+def test_long_directed_cycle_is_walked_without_recursion():
+    # 1,100 vertices is deeper than Python's default recursion limit; the
+    # general search already takes about 5 s at 160 vertices
+    start = time.perf_counter()
+    n = 1_100
+    m = incidence_matrix(DirectedGraph.from_edges([(i, (i + 1) % n) for i in range(n)], n))
+    assert circuit_basis(m).vectors() == [(1,) * n]
+    assert binary_circuit_vectors(m) == [(1,) * n]
+    assert time.perf_counter() - start < 2
 
 
 def test_two_fifth_full_basis():

@@ -149,3 +149,18 @@ def test_tu_of_a_long_incidence_matrix_inside_the_default_budget():
     start = time.perf_counter()
     assert is_totally_unimodular(m)
     assert time.perf_counter() - start < 0.5
+
+
+def test_network_matrix_is_tu_without_the_scan():
+    # the signing scan over 13 rows takes seconds here; a matrix with at most
+    # one +1 and one -1 per column, or per row, needs no scan.  The budget
+    # still counts C(73, 13) - 1 square submatrices and refuses the default
+    edges = random.Random(13).sample([(t, h) for t in range(13) for h in range(13) if t != h], 60)
+    m = incidence_matrix(DirectedGraph.from_edges(edges, 13))
+    with pytest.raises(TooLargeError) as info:
+        is_totally_unimodular(m)
+    assert info.value.count == comb(73, 13) - 1
+    start = time.perf_counter()
+    assert is_totally_unimodular(m, size_cap=10**30)
+    assert is_totally_unimodular(m.transpose(), size_cap=10**30)
+    assert time.perf_counter() - start < 0.1
