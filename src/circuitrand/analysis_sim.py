@@ -170,12 +170,6 @@ class AbSummary:
 
     mean: float
     standard_error: float
-    n1: int
-    n2: int
-    theta: tuple[float, float]
-    confounder_sd: float
-    replications: int
-    seed: int
 
 
 _MASK64 = (1 << 64) - 1
@@ -239,13 +233,4 @@ def simulate_ab(
             standard_error = math.nan
     except OverflowError:
         raise ValueError("the simulated estimates overflow the float range") from None
-    return AbSummary(
-        mean=mean,
-        standard_error=standard_error,
-        n1=n1,
-        n2=n2,
-        theta=(float(theta[0]), float(theta[1])),
-        confounder_sd=float(confounder_sd),
-        replications=replications,
-        seed=seed,
-    )
+    return AbSummary(mean=mean, standard_error=standard_error)

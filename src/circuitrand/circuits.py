@@ -547,8 +547,8 @@ def nonnegative_circuits(basis: CircuitBasis) -> list[Circuit]:
 
 
 def binary_circuits(basis: CircuitBasis) -> list[Circuit]:
-    """The nonnegative circuits whose entries all lie in {0, 1}."""
-    return [c for c in nonnegative_circuits(basis) if c.is_binary()]
+    """The circuits whose entries all lie in {0, 1}; each is nonnegative."""
+    return [c for c in basis.circuits if c.is_binary()]
 
 
 def _conformal(u: tuple[int, ...], rem: Sequence[Fraction]) -> bool:

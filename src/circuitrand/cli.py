@@ -33,7 +33,7 @@ from .analysis_sim import (
     naive_block_bias,
     simulate_ab,
 )
-from .circuits import circuit_basis, nonnegative_circuits
+from .circuits import binary_circuits, circuit_basis, nonnegative_circuits
 from .contrast import (
     ContrastModel,
     DesignModel,
@@ -321,19 +321,15 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     if args.transpose:
         matrix = matrix.transpose()
     basis = circuit_basis(matrix)
-    summary = f"circuits={len(basis)}"
     records: dict = {"circuits": len(basis)}
-    listed = list(basis.circuits)
+    listed = basis.circuits
     if args.nonnegative or args.binary:
-        nonneg = nonnegative_circuits(basis)
-        summary += f" nonnegative={len(nonneg)}"
-        records["nonnegative"] = len(nonneg)
-        listed = nonneg
+        listed = nonnegative_circuits(basis)
+        records["nonnegative"] = len(listed)
     if args.binary:
-        binary = [c for c in nonneg if c.is_binary()]
-        summary += f" binary={len(binary)}"
-        records["binary"] = len(binary)
-        listed = binary
+        listed = binary_circuits(basis)
+        records["binary"] = len(listed)
+    summary = " ".join(f"{key}={count}" for key, count in records.items())
     if args.format == "records":
         records["vectors"] = [list(c.vector) for c in listed]
     lines = (" ".join(str(x) for x in c.vector) for c in listed)
@@ -460,6 +456,10 @@ def _validate_blocks(blocks: list[tuple[int, ...]], n_runs: int) -> None:
 def _analyse_simulate(args: argparse.Namespace) -> int:
     if args.n1 is None or args.n2 is None:
         raise CliError(EXIT_PARAMS, "--simulate needs --n1 and --n2")
+    inputs = {
+        name: getattr(args, name)
+        for name in ("n1", "n2", "theta1", "theta2", "sd", "replications", "seed")
+    }
     try:
         summary = simulate_ab(
             n1=args.n1,
@@ -471,26 +471,12 @@ def _analyse_simulate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(EXIT_PARAMS, str(exc)) from exc
-    header = (
-        f"simulate: n1={summary.n1} n2={summary.n2} "
-        f"theta1={summary.theta[0]!r} theta2={summary.theta[1]!r} "
-        f"sd={summary.confounder_sd!r} replications={summary.replications} "
-        f"seed={summary.seed}"
-    )
+    # argparse gives ints and floats, whose repr is what JSON writes too
+    header = "simulate: " + " ".join(f"{key}={value!r}" for key, value in inputs.items())
     _emit(
         args,
         [header, f"mean={summary.mean!r}", f"se={summary.standard_error!r}"],
-        {
-            "n1": summary.n1,
-            "n2": summary.n2,
-            "theta1": summary.theta[0],
-            "theta2": summary.theta[1],
-            "sd": summary.confounder_sd,
-            "replications": summary.replications,
-            "seed": summary.seed,
-            "mean": summary.mean,
-            "se": summary.standard_error,
-        },
+        {**inputs, "mean": summary.mean, "se": summary.standard_error},
     )
     return EXIT_OK
 

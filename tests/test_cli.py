@@ -206,6 +206,12 @@ def test_catalog_digraph(capsys, edges_file):
     assert "# run 1: 1->2" in out
 
 
+def test_catalog_digraph_needs_edges(capsys):
+    code, out, err = run(capsys, ["catalog", "digraph"])
+    assert (code, out) == (2, "")
+    assert err == "circuitrand: the digraph family needs --edges FILE\n"
+
+
 def test_catalog_digraph_unbalanced(capsys, tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 2\n2 3\n")
@@ -602,6 +608,21 @@ def test_closed_stdout_exits_quietly(tmp_path, capsys):
     assert done.stderr == ""
 
 
+def test_closed_stdout_of_a_short_report_exits_quietly():
+    # the report fits the buffer, so the write fails only at main's flush
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "circuitrand.cli", "catalog", "factorial", "--k", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 def test_tu_budget(capsys, contrast_file):
     code, out, err = run(capsys, ["tu", contrast_file, "--cap", "3"])
     assert code == 5
@@ -697,6 +718,30 @@ def test_analyse_records_match_human(capsys, design_file, tmp_path):
     assert data["bias"] == ["1/2", "0", "0"]
     assert data["invariance"] == "violated"
     assert "(-2, -1, -1/2)" in human
+
+
+@pytest.mark.parametrize(
+    "blocks, y_count, gamma_count, code, message",
+    [
+        ("1 8\n2 7\n3 6\n4 5\n", 3, 4, 2, "need 8 responses, got 3"),
+        ("1 8\n2 7\n3 6\n4 5\n", 8, 2, 2, "need 4 block effects, got 2"),
+        ("1 1 8\n", 8, 1, 4, "invalid system: repeated run inside a block"),
+    ],
+    ids=["responses", "block-effects", "repeated-run"],
+)
+def test_analyse_rejects_mismatched_inputs(
+    capsys, design_file, tmp_path, blocks, y_count, gamma_count, code, message
+):
+    system = tmp_path / "b.txt"
+    system.write_text(blocks)
+    y = tmp_path / "y.txt"
+    y.write_text("".join(f"{i}\n" for i in range(1, y_count + 1)))
+    gamma = tmp_path / "g.txt"
+    gamma.write_text("".join(f"{i}\n" for i in range(1, gamma_count + 1)))
+    result = run(capsys, [
+        "analyse", design_file, "--system", str(system), "--y", str(y), "--gamma", str(gamma),
+    ])
+    assert result == (code, "", f"circuitrand: {message}\n")
 
 
 NINES = "9" * 3000
@@ -890,6 +935,33 @@ def test_analyse_simulate(capsys):
     assert "mean=1.5" in out
     assert "se=0.0" in out
     assert "seed=7" in out
+
+
+# sha256 of stdout of `analyse --simulate`, by argument set and format
+PINNED_SIMULATIONS = {
+    ("criterion 10", "human"): "2d1d22da4f5a5ae494d944af783a34d0e8a1f918ef7223aa2e676e409fd26842",
+    ("criterion 10", "records"): "813081e08e91a6d4b782b1786a5dfad3c1272bb13fd9d88fad50f51cbab141b0",
+    ("one replication", "human"): "2bc84d82be0ed4493ae210d21a2effac8451a374fc8a88b50157f84cb6412659",
+    ("one replication", "records"): "8be4991b99dea79017f687049c501f400c8d740a8f44161ba48723e5c4d95290",
+    ("unequal groups", "human"): "eb0ce4d76a58dde35f45de255722b74c2a0ea95567d4c66c1eeaf333554a3999",
+    ("unequal groups", "records"): "b814c391d74cbb82158e54ac3936ccd078dcb9f1ba88e8cc7a89dbe84897a62f",
+}
+SIMULATION_ARGS = {
+    "criterion 10": "--n1 4 --n2 4 --sd 1 --replications 100 --seed 42",
+    # a negative zero, a subnormal-scale mean and se=nan (NaN in records)
+    "one replication": "--n1 3 --n2 5 --theta1 -0.0 --theta2 1e-300 --sd 2.5 --replications 1",
+    "unequal groups": (
+        "--n1 2 --n2 7 --theta1 2.5 --theta2 1.0 --sd 0.5 --replications 30 --seed 3"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(PINNED_SIMULATIONS))
+def test_analyse_simulate_is_pinned(capsys, name, fmt):
+    argv = ["analyse", "--simulate", *SIMULATION_ARGS[name].split(), "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SIMULATIONS[name, fmt]
 
 
 def test_analyse_needs_inputs(capsys):
