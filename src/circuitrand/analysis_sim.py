@@ -1,18 +1,15 @@
 """Exact least-squares analysis of blocked responses, plus a small Monte
 Carlo demonstration of randomised assignment.
 
-The estimation questions all concern a contrast model ``[j : C]`` and block
-effects entering the response through 0/1 indicator columns ``Z``.  Both
-block diagnostics have a closed form:
+The estimation questions concern a contrast model ``[j : C]`` and a
+blocking: disjoint collections of two or more 0-based runs, each adding
+one effect to its runs.  Both block diagnostics have a closed form:
 
-- the estimates are linear in the response, so a block shift ``Z gamma``
-  moves them by exactly the naive block bias (the estimates of
-  ``Z gamma``), and leaves them unchanged exactly when that bias is zero;
-- contrast columns sum to zero, so ``C`` is orthogonal to ``j`` and the
-  naive contrast covariance is ``(C'C)^-1``;
-- fitting the blocks too gives ``(C'C - C'P_W C)^-1``, with ``W`` spanned by
-  ``j`` and the kept block columns; it dominates the naive covariance, and
-  equals it exactly when every kept block column is orthogonal to ``C``.
+- the estimates are linear in the response, so a block shift moves them
+  by exactly the naive block bias, the estimates of the shift alone;
+- fitting the blocks leaves the naive contrast covariance ``(C'C)^-1``
+  unchanged exactly when every block sums to zero on every contrast, and
+  otherwise strictly dominates it.
 """
 
 from __future__ import annotations
@@ -23,12 +20,16 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 # RankDeficientError is raised by ContrastModel._lse and stays importable here
 from .contrast import ContrastModel, RankDeficientError  # noqa: F401
-from .exact_linalg import IntMatrix, _reduce
-from .randomisation import DimensionMismatchError, RandomisationSystem, _block_violation
+from .randomisation import (
+    DimensionMismatchError,
+    RandomisationSystem,
+    _block_violation,
+    _check_blocks,
+)
 
 
 class CovarianceOrdering(Enum):
@@ -77,91 +78,73 @@ def lse_contrast_estimates(model: ContrastModel, y: Sequence) -> tuple[Fraction,
 
 
 def block_shift_invariance(
-    model: ContrastModel,
-    system: RandomisationSystem,
-    y: Sequence,
-    gamma: Sequence,
+    model: ContrastModel, system: RandomisationSystem, y: Sequence, gamma: Sequence
 ) -> bool:
     """Whether adding per-block constants to ``y`` moves the contrast estimates.
 
-    The estimates are linear in the response, so those of ``y + Z gamma``
-    differ from those of ``y`` by the estimates of ``Z gamma`` alone, which
-    is the naive block bias: the answer is whether that bias is zero, for
-    any ``y``.  For a valid randomisation system it is always True.
+    The estimates are linear in the response, so those of ``y`` shifted by
+    ``gamma[k]`` on every run of block ``k`` differ from those of ``y`` by
+    the estimates of the shift alone, which is the naive block bias: the
+    answer is whether that bias is zero, for any ``y``.  For a valid
+    randomisation system it is always True.
     """
     if len(y) != model.n_runs:
         raise DimensionMismatchError("response length does not match the model")
     if system.n_runs != model.n_runs:
         raise DimensionMismatchError("system run count does not match the model")
-    if len(gamma) != len(system.blocks):
-        raise ValueError("one shift per block is required")
-    return not any(naive_block_bias(model, system.indicator_matrix(), gamma))
-
-
-def _validate_indicators(model: ContrastModel, z: IntMatrix) -> None:
-    if z.n_rows != model.n_runs:
-        raise DimensionMismatchError("indicator row count does not match the model")
-    if not set().union(*z.rows) <= {0, 1}:
-        raise ValueError("block indicators must be 0/1")
+    return not any(naive_block_bias(model, system.blocks, gamma))
 
 
 def naive_block_bias(
-    model: ContrastModel, z: IntMatrix, gamma: Sequence
+    model: ContrastModel, blocks: Sequence[Collection[int]], gamma: Sequence
 ) -> tuple[Fraction, ...]:
     """Exact bias of the contrast estimates when block effects are ignored.
 
-    With true response ``E[y] = [j : C] phi + Z gamma`` but only ``[j : C]``
-    fitted, the estimate picks up the contrast rows of
-    ``(M'M)^-1 M' Z gamma``; orthogonal blocks give exactly zero.  With
-    ``gamma`` scaled to integers, ``Z gamma`` is an integer vector and the
-    bias takes the integer path of :func:`lse_estimates`.
+    ``blocks`` are disjoint collections of two or more 0-based runs, and
+    ``gamma[k]`` shifts every run of ``blocks[k]``.  With only ``[j : C]``
+    fitted, the estimates pick up those of the shift, which orthogonal
+    blocks make exactly zero.  With ``gamma`` scaled to integers the shift
+    is an integer vector, and the bias takes the integer path of
+    :func:`lse_estimates`.
     """
-    _validate_indicators(model, z)
-    if len(gamma) != z.n_cols:
-        raise ValueError("one effect per block column is required")
+    _check_blocks(model.n_runs, blocks)
+    if len(gamma) != len(blocks):
+        raise ValueError("one effect per block is required")
     g, scale = _scaled(gamma)
-    return _apply_lse(model, z.mul_vector(g), scale)
+    shift = [0] * model.n_runs
+    for b, g_k in zip(blocks, g):
+        for i in b:
+            shift[i] = g_k
+    return _apply_lse(model, shift, scale)
 
 
-def covariance_comparison(model: ContrastModel, z: IntMatrix) -> CovarianceOrdering:
+def covariance_comparison(
+    model: ContrastModel, blocks: Sequence[Collection[int]]
+) -> CovarianceOrdering:
     """Loewner-compare the contrast covariance with and without block terms.
 
-    The naive model fits ``[j : C]``; the blocked model also fits the block
-    indicator columns of ``z`` that are independent of the columns before
-    them (the pivots of ``[C | Z]``).  Under unit error variance, with ``W``
-    the span of ``j`` and the kept columns:
+    ``blocks`` are disjoint collections of two or more 0-based runs.  The
+    naive model fits ``[j : C]``, so under unit error variance its
+    covariance is ``(C'C)^-1`` (``C`` is orthogonal to ``j``).  The blocked
+    model also fits each block indicator ``z_b`` that is independent of the
+    columns before it; with ``W`` the span of ``j`` and those, its
+    covariance ``(C'C - C'P_W C)^-1`` dominates, and equals the naive one
+    exactly when every fitted ``z_b`` is orthogonal to ``C``.
 
-    - ``C`` is orthogonal to ``j``, so the naive covariance is ``(C'C)^-1``;
-    - the blocked one is ``(C'C - C'P_W C)^-1`` with ``C'P_W C >= 0``, so it
-      dominates the naive one;
-    - they are equal exactly when ``P_W C = 0``, that is when every kept
-      column is orthogonal to every contrast.
+    That is exactly when every block is orthogonal: the first block ``b``
+    that is not is always fitted.  Were ``z_b = C a + sum_k c_k z_k`` over
+    the fitted, orthogonal blocks ``k`` before it, the inner product with
+    ``z_k`` would give ``c_k |k| = 0``, the blocks being disjoint, and then
+    ``|b| = j'z_b = j'C a = 0``.
 
-    Raises :class:`RankDeficientError` as the model's LSE map does, when
+    Raises :class:`RankDeficientError`, as the model's LSE map does, when
     the contrast columns are linearly dependent or there are no runs.
-    Otherwise blocks that all sum to zero on every contrast, as a valid
-    system's do, give ``EQUAL`` with nothing reduced; else the contrast
-    columns are reduced, and the first kept block column, in the greedy
-    pivot order of ``[C | Z]``, that is not orthogonal gives
-    ``PROPER_DOMINATES``.
     """
-    _validate_indicators(model, z)
+    _check_blocks(model.n_runs, blocks)
     model._lse  # the rank verdict: raises when the contrasts are dependent
-    columns = z.columns()
-    blocks = [[i for i, x in enumerate(b) if x] for b in columns]
     if _block_violation(model, blocks) is None:
         return CovarianceOrdering.EQUAL
-    # the contrast columns are independent, so none reduces to zero
-    echelon = []
-    for col in model.contrast.columns():
-        echelon.append(_reduce(col, echelon))
-    for col, block in zip(columns, blocks):
-        reduced = _reduce(col, echelon)
-        if reduced is not None:
-            if _block_violation(model, [block]) is not None:
-                return CovarianceOrdering.PROPER_DOMINATES
-            echelon.append(reduced)
-    return CovarianceOrdering.EQUAL
+    return CovarianceOrdering.PROPER_DOMINATES
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from .exact_linalg import IntMatrix, _trusted_matrix
 from .randomisation import (
     RandomisationSystem,
     _block_violation,
-    _indicator_matrix,
+    _check_blocks,
     enumerate_circuit_randomisations,
 )
 from .unimodular import (
@@ -410,7 +410,10 @@ def cmd_analyse(args: argparse.Namespace) -> int:
         )
     model = _read(args.input, _model_of_text)
     blocks = _read(args.system, parse_blocks_text)
-    _validate_blocks(blocks, model.n_runs)
+    try:
+        _check_blocks(model.n_runs, blocks)
+    except ValueError as exc:
+        raise CliError(EXIT_INVALID_SYSTEM, f"invalid system: {exc}") from exc
     y = _read(args.y, parse_rational_list)
     gamma = _read(args.gamma, parse_rational_list)
     if len(y) != model.n_runs:
@@ -421,15 +424,14 @@ def cmd_analyse(args: argparse.Namespace) -> int:
         raise CliError(
             EXIT_PARAMS, f"need {len(blocks)} block effects, got {len(gamma)}"
         )
-    z = _indicator_matrix(model.n_runs, blocks)
     estimates = lse_contrast_estimates(model, y)
-    bias = naive_block_bias(model, z, gamma)
+    bias = naive_block_bias(model, blocks, gamma)
     records = {
         "estimates": estimates,
         "bias": bias,
         # estimates are linear in y, so the shift moves them by exactly the bias
         "invariance": "violated" if any(bias) else "exact",
-        "covariance": covariance_comparison(model, z).value,
+        "covariance": covariance_comparison(model, blocks).value,
     }
     lines = (
         f"{key}: {_format_fractions(value) if isinstance(value, tuple) else value}"
@@ -437,20 +439,6 @@ def cmd_analyse(args: argparse.Namespace) -> int:
     )
     _emit(args, lines, records)
     return EXIT_OK
-
-
-def _validate_blocks(blocks: list[tuple[int, ...]], n_runs: int) -> None:
-    seen: set[int] = set()
-    for b in blocks:
-        if len(b) < 2:
-            raise CliError(EXIT_INVALID_SYSTEM, "invalid system: blocks need at least two runs")
-        if len(set(b)) != len(b):
-            raise CliError(EXIT_INVALID_SYSTEM, "invalid system: repeated run inside a block")
-        if any(i >= n_runs for i in b):
-            raise CliError(EXIT_INVALID_SYSTEM, f"invalid system: run index beyond {n_runs}")
-        if seen & set(b):
-            raise CliError(EXIT_INVALID_SYSTEM, "invalid system: blocks overlap")
-        seen.update(b)
 
 
 def _analyse_simulate(args: argparse.Namespace) -> int:

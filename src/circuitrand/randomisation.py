@@ -25,7 +25,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 # circuit_basis stays importable here: bench/worker.py traces randomisation.circuit_basis
 from .circuits import binary_circuit_vectors, circuit_basis  # noqa: F401
 from .contrast import ContrastModel
-from .exact_linalg import IntMatrix, _from_columns, _trusted_matrix
+from .exact_linalg import _from_columns
 
 
 class DimensionMismatchError(ValueError):
@@ -75,18 +75,26 @@ class RandomisationSystem:
         """Block sizes in descending order."""
         return tuple(sorted((len(b) for b in self.blocks), reverse=True))
 
-    def indicator_matrix(self) -> IntMatrix:
-        """The ``n_runs x n_blocks`` 0/1 block indicator matrix."""
-        return _indicator_matrix(self.n_runs, self.blocks)
 
+def _check_blocks(n_runs: int, blocks: Iterable[Collection[int]]) -> None:
+    """Raise ``ValueError`` unless the blocks are disjoint sets of two or more runs.
 
-def _indicator_matrix(n_runs: int, blocks: Sequence[Iterable[int]]) -> IntMatrix:
-    """The 0/1 matrix whose column ``k`` indicates ``blocks[k]``, set block by block."""
-    rows = [[0] * len(blocks) for _ in range(n_runs)]
-    for k, b in enumerate(blocks):
-        for run in b:
-            rows[run][k] = 1
-    return _trusted_matrix(n_runs, len(blocks), tuple(map(tuple, rows)))
+    Runs are 0-based indices below ``n_runs``, and need not all be covered.
+    """
+    seen: set[int] = set()
+    for b in blocks:
+        if len(b) < 2:
+            raise ValueError("blocks need at least two runs")
+        runs = set(b)
+        if len(runs) != len(b):
+            raise ValueError("repeated run inside a block")
+        if min(runs) < 0:
+            raise ValueError("run indices cannot be negative")
+        if max(runs) >= n_runs:
+            raise ValueError(f"run index beyond {n_runs}")
+        if seen & runs:
+            raise ValueError("blocks overlap")
+        seen |= runs
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from circuitrand import cli
 from circuitrand.analysis_sim import (
@@ -371,13 +372,13 @@ def test_criterion_08_analysis_identities(
                 if not block_shift_invariance(model, system, y, gamma):
                     invariant_ok = False
 
-    z = IntMatrix.from_rows([[1] if i < 4 else [0] for i in range(8)], n_cols=1)
+    blocks = [[0, 1, 2, 3]]
     bias_ok = True
     for _ in range(100):
         g = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        if naive_block_bias(model_2cubed, z, [g]) != (g / 2, Fraction(0), Fraction(0)):
+        if naive_block_bias(model_2cubed, blocks, [g]) != (g / 2, Fraction(0), Fraction(0)):
             bias_ok = False
-    ordering = covariance_comparison(model_2cubed, z)
+    ordering = covariance_comparison(model_2cubed, blocks)
     ordering_ok = ordering == CovarianceOrdering.PROPER_DOMINATES
     elapsed = time.perf_counter() - start
     ok = invariant_ok and bias_ok and ordering_ok
@@ -413,7 +414,7 @@ def test_criterion_09_latin_squares(criterion_report):
     )
 
 
-def test_criterion_10_determinism(criterion_report, tmp_path, capsys, monkeypatch):
+def test_criterion_10_determinism(criterion_report, tmp_path, capsys):
     design = tmp_path / "design.txt"
     assert cli.main(["catalog", "factorial", "--k", "3", "-o", str(design)]) == 0
     contrast = tmp_path / "x1t.txt"
@@ -459,19 +460,19 @@ def test_criterion_10_determinism(criterion_report, tmp_path, capsys, monkeypatc
     first = run_all()
     second = run_all()
     repeat_ok = first == second
-    threads_hi = max(os.cpu_count() or 1, 2)
-    monkeypatch.setenv("CIRCUITRAND_THREADS", "1")
-    single = run_all()
-    monkeypatch.setenv("CIRCUITRAND_THREADS", str(threads_hi))
-    many = run_all()
-    threads_ok = single == first == many
     codes_ok = all(code == 0 for code, _, _ in first)
-    ok = repeat_ok and threads_ok and codes_ok
+    # no setting outside the command line can change an output
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    readers = [
+        m.name for m in modules if re.search(r"\b(?:environb?|getenv)\b", m.read_text())
+    ]
+    ok = repeat_ok and codes_ok and not readers
     assert criterion_report(
         10,
         ok,
         f"{len(commands)} commands byte-identical across two runs: {repeat_ok}, "
-        f"identical under thread settings 1 and {threads_hi}: {threads_ok}",
+        f"modules of the {len(modules)} that read the environment: "
+        f"{', '.join(readers) or 'none'} (required none)",
     )
 
 

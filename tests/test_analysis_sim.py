@@ -86,37 +86,50 @@ def test_block_shift_invariance_input_checks(model_2cubed):
 
 
 def test_naive_block_bias_exact_half(model_2cubed):
-    z = indicator_matrix(8, [[0, 1, 2, 3]])
     for g in (Fraction(1), Fraction(3, 7), Fraction(-2)):
-        assert naive_block_bias(model_2cubed, z, [g]) == (g / 2, Fraction(0), Fraction(0))
+        assert naive_block_bias(model_2cubed, [[0, 1, 2, 3]], [g]) == (g / 2, Fraction(0), Fraction(0))
 
 
 def test_naive_block_bias_zero_for_orthogonal_blocks(model_2cubed, catalog_2cubed):
     for system in catalog_2cubed.systems:
-        z = system.indicator_matrix()
-        gamma = [Fraction(k + 1, 3) for k in range(z.n_cols)]
-        assert naive_block_bias(model_2cubed, z, gamma) == (Fraction(0),) * 3
+        gamma = [Fraction(k + 1, 3) for k in range(len(system.blocks))]
+        assert naive_block_bias(model_2cubed, system.blocks, gamma) == (Fraction(0),) * 3
 
 
 def test_naive_block_bias_input_checks(model_2cubed):
-    z = indicator_matrix(8, [[0, 1, 2, 3]])
-    with pytest.raises(ValueError):
-        naive_block_bias(model_2cubed, z, [1, 2])
-    with pytest.raises(ValueError):
-        naive_block_bias(model_2cubed, IntMatrix.from_rows([[2]] * 8, n_cols=1), [1])
+    with pytest.raises(ValueError, match="one effect per block"):
+        naive_block_bias(model_2cubed, [[0, 1, 2, 3]], [1, 2])
 
 
 def test_covariance_comparison_orderings(model_2cubed):
-    non_orthogonal = indicator_matrix(8, [[0, 1, 2, 3]])
+    non_orthogonal = [[0, 1, 2, 3]]
     assert covariance_comparison(model_2cubed, non_orthogonal) == CovarianceOrdering.PROPER_DOMINATES
-    orthogonal = indicator_matrix(8, [[0, 7], [1, 6], [2, 5], [3, 4]])
+    orthogonal = [[0, 7], [1, 6], [2, 5], [3, 4]]
     assert covariance_comparison(model_2cubed, orthogonal) == CovarianceOrdering.EQUAL
-    empty = IntMatrix.from_rows([[] for _ in range(8)], n_cols=0)
-    assert covariance_comparison(model_2cubed, empty) == CovarianceOrdering.EQUAL
-    # the second block is (c_1 + j) / 2, dependent on the first (all runs) and
-    # the contrasts, so it is not fitted although it is not orthogonal to c_1
-    dependent = indicator_matrix(8, [range(8), [0, 1, 2, 3]])
-    assert covariance_comparison(model_2cubed, dependent) == CovarianceOrdering.EQUAL
+    assert covariance_comparison(model_2cubed, []) == CovarianceOrdering.EQUAL
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        # with overlapping blocks, which of them a fit keeps depends on their order
+        ([range(8), [0, 1, 2, 3]], "blocks overlap"),
+        ([[0, 1, 2, 3], range(8)], "blocks overlap"),
+        ([[0, 1], []], "blocks need at least two runs"),
+        ([[0, 1], [2]], "blocks need at least two runs"),
+        ([[0, 1, 1]], "repeated run inside a block"),
+        ([[0, 8]], "run index beyond 8"),
+        ([[-1, 0]], "run indices cannot be negative"),
+    ],
+    ids=["overlap", "overlap-reversed", "empty", "one-run", "repeated", "beyond", "negative"],
+)
+def test_block_diagnostics_reject_what_is_not_a_blocking(model_2cubed, blocks, message):
+    for call in (
+        lambda: covariance_comparison(model_2cubed, blocks),
+        lambda: naive_block_bias(model_2cubed, blocks, [1] * len(blocks)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 CATALOG_MODELS = {
@@ -152,13 +165,13 @@ def hand_built_model(n, cols):
 
 @st.composite
 def blocked_models(draw):
-    """A contrast model, block columns ``Z`` and a valid-or-not partition.
+    """A contrast model, a blocking and a valid-or-not partition.
 
     Models are catalog designs or hand-built from random zero-sum integer
-    columns (with a dependent column now and then).  ``Z`` is a partition, a partial
-    blocking, a catalog system with some blocks merged or dropped, or
-    arbitrary 0/1 columns; then repeated, zero and all-ones columns may be
-    added, and the columns are shuffled.
+    columns (with a dependent column now and then).  The blocking is a
+    partition, a partial blocking or a catalog system with some blocks
+    merged or dropped, its blocks shuffled; every block has two or more
+    runs.
     """
     name = draw(st.sampled_from(["random", *CATALOG_MODELS]))
     if name == "random":
@@ -173,47 +186,38 @@ def blocked_models(draw):
     else:
         model = CATALOG_MODELS[name]
         n = model.n_runs
-    kind = draw(st.sampled_from(["partition", "partial", "system", "overlapping"]))
-    if kind == "partition":
-        blocks = partition(draw, list(range(n)), 1)
-    elif kind == "partial":
-        runs = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-        blocks = partition(draw, runs, 1)
-    elif kind == "system" and name != "random":
+    kind = draw(st.sampled_from(["partition", "partial", "system"]))
+    if kind == "system" and name != "random":
         system = draw(st.sampled_from(catalog_systems(name)))
         merged = partition(draw, list(system.blocks), 1)
         blocks = [sorted(i for b in group for i in b) for group in merged]
         blocks = blocks[: draw(st.integers(0, len(blocks)))]
+    elif kind == "partial":
+        runs = draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
+        blocks = partition(draw, runs, 2)
     else:
-        blocks = [
-            [i for i in range(n) if draw(st.booleans())]
-            for _ in range(draw(st.integers(0, 5)))
-        ]
-    for extra in draw(st.lists(st.sampled_from(["repeat", "zero", "ones"]), max_size=2)):
-        if extra == "repeat" and blocks:
-            blocks.append(draw(st.sampled_from(blocks)))
-        else:
-            blocks.append([] if extra == "zero" else list(range(n)))
+        blocks = partition(draw, list(range(n)), 2)
     blocks = draw(st.permutations(blocks))
     system = RandomisationSystem.from_blocks(n, partition(draw, list(range(n)), 2))
-    return model, indicator_matrix(n, blocks), system
+    return model, blocks, system
 
 
 @settings(max_examples=300, deadline=None)
 @given(blocked_models(), st.data())
 def test_block_diagnostics_match_the_two_inverse_oracle(case, data):
-    model, z, system = case
+    model, blocks, system = case
+    z = indicator_matrix(model.n_runs, blocks)
     expected = oracles.covariance_ordering_by_inverses(model.contrast.rows, z.rows)
     if expected is None:
         with pytest.raises(RankDeficientError):
-            covariance_comparison(model, z)
+            covariance_comparison(model, blocks)
         return
-    assert covariance_comparison(model, z).value == expected
+    assert covariance_comparison(model, blocks).value == expected
 
     fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
     y = data.draw(st.lists(fractions, min_size=model.n_runs, max_size=model.n_runs))
     gamma = data.draw(st.lists(fractions, min_size=len(system.blocks), max_size=len(system.blocks)))
-    shift = system.indicator_matrix().mul_vector(gamma)
+    shift = indicator_matrix(model.n_runs, system.blocks).mul_vector(gamma)
     shifted = [a + b for a, b in zip(y, shift)]
     assert block_shift_invariance(model, system, y, gamma) == (
         lse_contrast_estimates(model, y) == lse_contrast_estimates(model, shifted)
@@ -223,37 +227,43 @@ def test_block_diagnostics_match_the_two_inverse_oracle(case, data):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(CATALOG_MODELS)), st.data())
 def test_partitions_are_equal_exactly_when_every_block_is_orthogonal(name, data):
-    """Disjoint blocks: the first one not orthogonal to the contrasts is kept."""
+    """Disjoint blocks: the first one not orthogonal to the contrasts is kept.
+
+    The two-inverse oracle fits every block column, so its verdict, read
+    here against the orthogonality check, is the closed form's claim.
+    """
     model = CATALOG_MODELS[name]
-    runs = data.draw(st.lists(st.integers(0, model.n_runs - 1), min_size=1, unique=True))
-    blocks = partition(data.draw, runs, 1)
-    ordering = covariance_comparison(model, indicator_matrix(model.n_runs, blocks))
-    assert (ordering == CovarianceOrdering.EQUAL) == (_block_violation(model, blocks) is None)
+    runs = data.draw(st.lists(st.integers(0, model.n_runs - 1), min_size=2, unique=True))
+    blocks = partition(data.draw, runs, 2)
+    z = indicator_matrix(model.n_runs, blocks)
+    expected = oracles.covariance_ordering_by_inverses(model.contrast.rows, z.rows)
+    assert (expected == "equal") == (_block_violation(model, blocks) is None)
+    assert covariance_comparison(model, blocks).value == expected
 
 
 def test_rank_deficiency_is_raised_before_the_orthogonal_exit():
     model = hand_built_model(4, [(1, -1, 0, 0), (2, -2, 0, 0)])
-    for blocks in ([], [range(4)], [[2, 3]], [[2, 3], [0, 1, 2, 3]]):
+    for blocks in ([], [range(4)], [[2, 3]], [[2, 3], [0, 1]], [[0, 2]]):
         with pytest.raises(RankDeficientError):
-            covariance_comparison(model, indicator_matrix(4, blocks))
+            covariance_comparison(model, blocks)
 
 
 def test_every_analysis_raises_one_error_for_dependent_contrasts():
     model = hand_built_model(4, [(1, -1, 0, 0), (2, -2, 0, 0)])
-    z = indicator_matrix(4, [[0, 1], [2, 3]])
+    blocks = [[0, 1], [2, 3]]
     y = [1, 2, 3, 4]
     for call in (
-        lambda: covariance_comparison(model, z),
+        lambda: covariance_comparison(model, blocks),
         lambda: lse_estimates(model, y),
         lambda: lse_contrast_estimates(model, y),
-        lambda: naive_block_bias(model, z, [1, 2]),
+        lambda: naive_block_bias(model, blocks, [1, 2]),
     ):
         with pytest.raises(RankDeficientError, match="the contrast columns are linearly dependent"):
             call()
     empty = ContrastModel(IntMatrix.from_rows([], n_cols=0))
     for call in (
         lambda: lse_estimates(empty, []),
-        lambda: covariance_comparison(empty, IntMatrix.from_rows([], n_cols=0)),
+        lambda: covariance_comparison(empty, []),
     ):
         with pytest.raises(RankDeficientError, match="no intercept"):
             call()
@@ -279,12 +289,11 @@ def test_a_model_solves_for_its_lse_map_once(monkeypatch):
     monkeypatch.setattr(contrast, "rational_solve", counted)
     model = to_contrast_form(choice_k_of_2k(3))
     y = range(model.n_runs)
-    z = indicator_matrix(model.n_runs, [[0, 1]])
     lse_estimates(model, y)
     assert len(calls) == 1
     lse_estimates(model, y)
-    naive_block_bias(model, z, [1])
-    covariance_comparison(model, z)
+    naive_block_bias(model, [[0, 1]], [1])
+    covariance_comparison(model, [[0, 1]])
     assert len(calls) == 1
 
 
@@ -313,21 +322,21 @@ def test_estimates_and_bias_match_the_normal_equations(data):
 
     fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
     y = data.draw(st.lists(fractions, min_size=n, max_size=n))
-    runs = data.draw(st.lists(st.integers(0, n - 1), unique=True))
-    blocks = partition(data.draw, runs, 1)
+    runs = data.draw(st.lists(st.integers(0, n - 1), unique=True).filter(lambda r: len(r) != 1))
+    blocks = partition(data.draw, runs, 2)
     gamma = data.draw(
         st.one_of(
             st.just([Fraction(0)] * len(blocks)),
             st.lists(fractions, min_size=len(blocks), max_size=len(blocks)),
         )
     )
-    z = indicator_matrix(n, blocks)
 
     estimates = lse_estimates(model, y)
     assert estimates == normal_equation_solution(model, y)
     assert all(type(v) is Fraction for v in estimates)
-    bias = naive_block_bias(model, z, gamma)
-    assert bias == normal_equation_solution(model, z.mul_vector(gamma))[1:]
+    bias = naive_block_bias(model, blocks, gamma)
+    shift = indicator_matrix(n, blocks).mul_vector(gamma)
+    assert bias == normal_equation_solution(model, shift)[1:]
     assert all(type(v) is Fraction for v in bias)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from circuitrand import cli
 from circuitrand.contrast import to_contrast_form
-from circuitrand.design_catalog import factorial_two_level
+from circuitrand.design_catalog import anova_two_way, choice_k_of_2k, factorial_two_level
 from circuitrand.randomisation import RandomisationSystem, enumerate_circuit_randomisations
 
 from conftest import DIGRAPH_EDGES
@@ -726,8 +727,11 @@ def test_analyse_records_match_human(capsys, design_file, tmp_path):
         ("1 8\n2 7\n3 6\n4 5\n", 3, 4, 2, "need 8 responses, got 3"),
         ("1 8\n2 7\n3 6\n4 5\n", 8, 2, 2, "need 4 block effects, got 2"),
         ("1 1 8\n", 8, 1, 4, "invalid system: repeated run inside a block"),
+        # the blocks are checked before the responses and effects are read
+        ("1 2 3\n3 4\n", 2, 2, 4, "invalid system: blocks overlap"),
+        ("1\n2 3 4 5 6 7 8\n", 2, None, 4, "invalid system: blocks need at least two runs"),
     ],
-    ids=["responses", "block-effects", "repeated-run"],
+    ids=["responses", "block-effects", "repeated-run", "overlap-first", "one-run-before-no-gamma"],
 )
 def test_analyse_rejects_mismatched_inputs(
     capsys, design_file, tmp_path, blocks, y_count, gamma_count, code, message
@@ -737,11 +741,82 @@ def test_analyse_rejects_mismatched_inputs(
     y = tmp_path / "y.txt"
     y.write_text("".join(f"{i}\n" for i in range(1, y_count + 1)))
     gamma = tmp_path / "g.txt"
-    gamma.write_text("".join(f"{i}\n" for i in range(1, gamma_count + 1)))
+    if gamma_count is not None:
+        gamma.write_text("".join(f"{i}\n" for i in range(1, gamma_count + 1)))
     result = run(capsys, [
         "analyse", design_file, "--system", str(system), "--y", str(y), "--gamma", str(gamma),
     ])
     assert result == (code, "", f"circuitrand: {message}\n")
+
+
+CLOSED_FORM_DESIGNS = {
+    "2^4": factorial_two_level(4),
+    "anova 3x3": anova_two_way(3, 3),
+    "choice k=3": choice_k_of_2k(3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_systems(name):
+    model = to_contrast_form(CLOSED_FORM_DESIGNS[name])
+    return enumerate_circuit_randomisations(model).systems
+
+
+@st.composite
+def _closed_form_cases(draw):
+    """A catalog design and a partition of its runs into blocks of two or more.
+
+    A third of the partitions are drawn at random.  The rest merge the
+    blocks of one of the design's circuit-based systems, which keeps them
+    valid, and half of those then swap a run between two blocks, which
+    leaves the other blocks valid.  The blocks are listed in a drawn order.
+    """
+    name = draw(st.sampled_from(sorted(CLOSED_FORM_DESIGNS)))
+    n = CLOSED_FORM_DESIGNS[name].matrix.n_rows
+    if draw(st.integers(0, 2)) == 0:
+        units, min_size = [[i] for i in draw(st.permutations(range(n)))], 2
+    else:
+        units, min_size = list(draw(st.sampled_from(_catalog_systems(name))).blocks), 1
+    blocks = []
+    while units:
+        size = draw(st.integers(min_size, len(units)))
+        if len(units) - size < min_size:
+            size = len(units)
+        blocks.append(sorted(i for unit in units[:size] for i in unit))
+        units = units[size:]
+    if min_size == 1 and len(blocks) > 1 and draw(st.booleans()):
+        k, m = draw(st.permutations(range(len(blocks))))[:2]
+        blocks[k][0], blocks[m][0] = blocks[m][0], blocks[k][0]
+    return name, draw(st.permutations(blocks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_closed_form_cases())
+def test_analyse_covariance_is_equal_exactly_when_the_check_passes(case):
+    name, blocks = case
+    n = CLOSED_FORM_DESIGNS[name].matrix.n_rows
+    files = {
+        "design": cli.format_matrix_text(CLOSED_FORM_DESIGNS[name].matrix),
+        "blocks": "".join(" ".join(str(i + 1) for i in b) + "\n" for b in blocks),
+        "y": "".join(f"{i}/3\n" for i in range(n)),
+        "gamma": "".join(f"{k}\n" for k in range(len(blocks))),
+    }
+    with tempfile.TemporaryDirectory() as d:
+        path = {key: os.path.join(d, key) for key in files}
+        for key, text in files.items():
+            Path(path[key]).write_text(text)
+        results = []
+        for argv in (
+            ["randomise", path["design"], "--check", path["blocks"]],
+            ["analyse", path["design"], "--system", path["blocks"],
+             "--y", path["y"], "--gamma", path["gamma"]],
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                results.append((cli.main(argv), out.getvalue()))
+    (check_code, _), (analyse_code, report) = results
+    assert check_code in (0, 4) and analyse_code == 0
+    assert ("covariance: equal\n" in report) == (check_code == 0)
 
 
 NINES = "9" * 3000
@@ -962,6 +1037,18 @@ def test_analyse_simulate_is_pinned(capsys, name, fmt):
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SIMULATIONS[name, fmt]
+
+
+def test_a_negative_exponent_needs_the_equals_form(capsys):
+    """argparse reads a separate ``-1e-3`` as an option, not as the value."""
+    argv = ["analyse", "--simulate", "--n1", "2", "--n2", "2", "--replications", "3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--theta2", "-1e-3"])
+    assert exc.value.code == 2
+    assert "argument --theta2: expected one argument" in capsys.readouterr().err
+    code, out, err = run(capsys, argv + ["--theta2=-1e-3"])
+    assert (code, err) == (0, "")
+    assert "theta2=-0.001" in out
 
 
 def test_analyse_needs_inputs(capsys):

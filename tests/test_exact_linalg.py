@@ -22,7 +22,6 @@ from circuitrand.exact_linalg import (
     rank,
     rational_solve,
 )
-from circuitrand.randomisation import _indicator_matrix
 from circuitrand.unimodular import incidence_matrix
 
 import oracles
@@ -239,18 +238,6 @@ def test_contrast_matrices_match_the_checked_constructor(n, k, data):
     contrast = to_contrast_form(design).contrast
     assert_built_as_checked(contrast)
     assert contrast.n_rows == n
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 9), st.data())
-def test_indicator_matrices_match_the_checked_constructor(n_runs, data):
-    runs = data.draw(st.permutations(range(n_runs)))
-    cuts = sorted(data.draw(st.sets(st.integers(0, n_runs))))
-    blocks = [runs[i:j] for i, j in zip(cuts, cuts[1:])]
-    z = _indicator_matrix(n_runs, blocks)
-    assert_built_as_checked(z)
-    assert (z.n_rows, z.n_cols) == (n_runs, len(blocks))
-    assert z.columns() == [tuple(int(i in b) for i in range(n_runs)) for b in blocks]
 
 
 def test_catalog_and_incidence_matrices_match_the_checked_constructor():

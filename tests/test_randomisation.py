@@ -105,13 +105,6 @@ def test_shape_descending():
     assert s.shape == (3, 2, 2)
 
 
-def test_indicator_matrix():
-    s = RandomisationSystem.from_blocks(4, [[0, 3], [1, 2]])
-    z = s.indicator_matrix()
-    assert z.n_rows == 4 and z.n_cols == 2
-    assert z.columns() == [(1, 0, 0, 1), (0, 1, 1, 0)]
-
-
 def test_is_valid_randomisation(model_2cubed):
     good = system_from_1based(8, [[1, 4, 6, 7], [2, 3, 5, 8]])
     bad = system_from_1based(8, [[1, 2, 3, 4], [5, 6, 7, 8]])
