@@ -64,14 +64,24 @@ def test_a_repeated_design_is_reduced_by_the_first_request_only(count_reduce, tm
     assert counts == [factorial_two_level(5).matrix.n_cols + 1, 0]
 
 
-def test_the_covariance_verdict_reduces_no_column(count_reduce):
-    """Past the model's own LSE map, the verdict is the orthogonality check alone."""
+def _model_and_counters(count_reduce):
+    """A 2^4 contrast model with its LSE map built, and counters installed after it."""
     model = to_contrast_form(factorial_two_level(4))
-    model._lse  # built before counting
-    calls = [count_reduce(contrast), count_reduce(exact_linalg)]
+    model._lse
+    return model, [count_reduce(contrast), count_reduce(exact_linalg)]
+
+
+def test_a_valid_blocking_reduces_no_column(count_reduce):
+    model, calls = _model_and_counters(count_reduce)
     # run i and its fold-over 15 - i have opposite signs on every factor
     valid = [(i, 15 - i) for i in range(8)]
     assert covariance_comparison(model, valid) == CovarianceOrdering.EQUAL
+    assert calls == [[], []]
+
+
+def test_an_invalid_blocking_reduces_no_column(count_reduce):
+    """Past the model's own LSE map, the verdict is the orthogonality check alone."""
+    model, calls = _model_and_counters(count_reduce)
     # two fold-over pairs, then runs 2 and 3, which agree on three factors
     invalid = [(0, 15), (1, 14), (2, 3)]
     assert covariance_comparison(model, invalid) == CovarianceOrdering.PROPER_DOMINATES
