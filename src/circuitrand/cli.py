@@ -373,7 +373,7 @@ def cmd_randomise(args: argparse.Namespace) -> int:
 def _randomise_check(args: argparse.Namespace, model: ContrastModel) -> int:
     blocks = _read(args.check, parse_blocks_text)
     try:
-        system = RandomisationSystem.from_blocks(model.n_runs, blocks)
+        system = RandomisationSystem(model.n_runs, blocks)
     except ValueError as exc:
         raise CliError(EXIT_INVALID_SYSTEM, f"invalid system: {exc}") from exc
     violation = _block_violation(model, system.blocks)

@@ -119,7 +119,7 @@ def choice_complementary_pairs(k: int) -> RandomisationSystem:
         j = index[tuple(sorted(full - set(s)))]
         if i < j:
             blocks.append((i, j))
-    return RandomisationSystem.from_blocks(design.matrix.n_rows, blocks)
+    return RandomisationSystem(design.matrix.n_rows, blocks)
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def latin_square_blocks(square: LatinSquare) -> RandomisationSystem:
     for i in range(n):
         for j in range(n):
             blocks[square.cells[i][j]].append(i * n + j)
-    return RandomisationSystem.from_blocks(n * n, blocks.values())
+    return RandomisationSystem(n * n, blocks.values())
 
 
 def mols_order3() -> tuple[LatinSquare, LatinSquare]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import index
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -40,35 +39,23 @@ class NotARandomisationVectorError(ValueError):
 class RandomisationSystem:
     """A partition of ``range(n_runs)`` into blocks of size >= 2.
 
-    Blocks are stored 0-based, each sorted ascending, and ordered by
-    (size, smallest element) so equal partitions compare and hash equal.
+    The blocks may come in any order.  They are checked in the order given,
+    by :func:`_check_blocks` and then for covering every run, and stored
+    0-based, each sorted ascending, ordered by (size, smallest element), so
+    equal partitions compare and hash equal.
     """
 
     n_runs: int
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(map(index, b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        for b in blocks:
-            if len(b) < 2:
-                raise ValueError("every block needs at least two runs")
-            if list(b) != sorted(b):
-                raise ValueError("blocks must be sorted ascending")
-        if sorted(chain.from_iterable(blocks)) != list(range(self.n_runs)):
+        blocks = [tuple(map(index, b)) for b in self.blocks]
+        _check_blocks(self.n_runs, blocks)
+        # disjoint blocks of runs below n_runs cover them all when sizes sum to it
+        if sum(map(len, blocks)) != self.n_runs:
             raise ValueError("blocks must partition the runs exactly once each")
-        keys = [(len(b), b[0]) for b in blocks]
-        if keys != sorted(keys):
-            raise ValueError("blocks must be ordered by (size, smallest element)")
-
-    @classmethod
-    def from_blocks(cls, n_runs: int, blocks: Iterable[Iterable[int]]) -> "RandomisationSystem":
-        """Canonicalise and validate an arbitrary collection of blocks."""
-        norm = sorted(
-            (tuple(sorted(map(index, b))) for b in blocks),
-            key=lambda b: (len(b), b[0] if b else -1),
-        )
-        return cls(n_runs=n_runs, blocks=tuple(norm))
+        blocks = sorted(map(tuple, map(sorted, blocks)), key=lambda b: (len(b), b[0]))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ balanced graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -91,7 +92,7 @@ def is_eulerian_balanced(g: DirectedGraph) -> bool:
     is what lets each edge play the role of a run with the vertex rows as
     contrasts.
     """
-    return all(g.in_degree(v) == g.out_degree(v) for v in range(g.n_vertices))
+    return Counter(t for t, _ in g.edges) == Counter(h for _, h in g.edges)
 
 
 DEFAULT_SIZE_CAP = 1_000_000

@@ -68,7 +68,7 @@ def test_block_shift_invariance_valid_system(model_2cubed, catalog_2cubed):
 
 
 def test_block_shift_invariance_detects_bad_blocks(model_2cubed):
-    bad = RandomisationSystem.from_blocks(8, [[0, 1, 2, 3], [4, 5, 6, 7]])
+    bad = RandomisationSystem(8, [[0, 1, 2, 3], [4, 5, 6, 7]])
     y = [Fraction(i) for i in range(8)]
     assert not block_shift_invariance(model_2cubed, bad, y, [1, 0])
     # A zero shift changes nothing even for a bad system.
@@ -76,12 +76,12 @@ def test_block_shift_invariance_detects_bad_blocks(model_2cubed):
 
 
 def test_block_shift_invariance_input_checks(model_2cubed):
-    good = RandomisationSystem.from_blocks(8, [[0, 7], [1, 6], [2, 5], [3, 4]])
+    good = RandomisationSystem(8, [[0, 7], [1, 6], [2, 5], [3, 4]])
     with pytest.raises(ValueError):
         block_shift_invariance(model_2cubed, good, [0] * 8, [1])
     with pytest.raises(DimensionMismatchError):
         block_shift_invariance(
-            model_2cubed, RandomisationSystem.from_blocks(4, [[0, 1], [2, 3]]), [0] * 8, [1, 1]
+            model_2cubed, RandomisationSystem(4, [[0, 1], [2, 3]]), [0] * 8, [1, 1]
         )
 
 
@@ -198,7 +198,7 @@ def blocked_models(draw):
     else:
         blocks = partition(draw, list(range(n)), 2)
     blocks = draw(st.permutations(blocks))
-    system = RandomisationSystem.from_blocks(n, partition(draw, list(range(n)), 2))
+    system = RandomisationSystem(n, partition(draw, list(range(n)), 2))
     return model, blocks, system
 
 

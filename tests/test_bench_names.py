@@ -1,16 +1,20 @@
-"""The package names that the benchmark's tracer patches still exist.
+"""The package names that the benchmark reads still exist.
 
-``bench/worker.py`` wraps package functions by name to time them; a name
-that a refactor drops would crash every traced benchmark pass.  This test
-reads that file's syntax tree (it never imports or runs it) and checks each
-``tracer.patch(<module>, "<name>", ...)`` call whose name is a literal.
+``bench/worker.py`` wraps package functions by name to time them, and
+``bench/workloads.py`` builds its designs and blockings from
+``design_catalog``; a name that a refactor drops would crash every
+benchmark pass.  These tests read the two files' syntax trees (they never
+import or run them) and check each ``tracer.patch(<module>, "<name>", ...)``
+call whose name is a literal, and each ``design_catalog.<name>`` attribute.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+WORKER = BENCH / "worker.py"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def patched_names() -> list[tuple[str, str]]:
@@ -42,3 +46,17 @@ def test_every_traced_name_exists():
         if not hasattr(importlib.import_module(f"circuitrand.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_every_catalog_name_in_the_workloads_exists():
+    tree = ast.parse(WORKLOADS.read_text(), str(WORKLOADS))
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "design_catalog"
+    }
+    assert {"latin_square_blocks", "choice_complementary_pairs", "LatinSquare"} <= names
+    catalog = importlib.import_module("circuitrand.design_catalog")
+    assert sorted(name for name in names if not hasattr(catalog, name)) == []

@@ -500,11 +500,11 @@ PINNED_CHECKS = {
     ),
     ('2^4', 'check', 'human'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        'ea6959cd7d6330964535ef81002f417f7aa137d45d7b70444ae997ea918f1f62',
+        '8ac93b7001de3c6f11a0f0f4f6342c190f65a021de6ca68a51ab92ea2bbf8f54',
     ),
     ('2^4', 'check', 'records'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        'fe99ff6afee620bb37018e80f975309d8292e8e03bac444fc357dcc11225c5fb',
+        'ce8c8d6edefb5912f9af81ed831a6e9f8071e23d50e1a1511e4237e5c457bdc1',
     ),
     ('anova 4x4', 'analyse', 'human'): (
         (0, 0, 0, 0, 4, 4, 4, 2),
@@ -516,11 +516,11 @@ PINNED_CHECKS = {
     ),
     ('anova 4x4', 'check', 'human'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        '34e87aaaf93ca8bad318fa0a28df2863b337540d18bd940e9507fb84a5722227',
+        'ecb619357de59c07023c96db6291c46896ef40e94149b7c8b2df521d69680f4b',
     ),
     ('anova 4x4', 'check', 'records'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        'dbc310d265ef090ac8c6f2f7ff9b0cfc9bf40767645dcfc2137c4d51f9b289f2',
+        'b3c5e937ca0bc1e496c8ae278b43b8fdd5af0a4fcb17d2de670de9cc157ef7fc',
     ),
     ('choice k=3', 'analyse', 'human'): (
         (0, 0, 0, 0, 4, 4, 4, 2),
@@ -532,11 +532,11 @@ PINNED_CHECKS = {
     ),
     ('choice k=3', 'check', 'human'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        '990771febcf0dc16c5c3bff75ac3319a5d63e84a1d8b4e377e0ceca15878565b',
+        'e04a01eb7edc177e71d4f6311a496e431059d286f7f04170af99642b0a200a41',
     ),
     ('choice k=3', 'check', 'records'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        '372f0272b1f340bfb75975f334a91682fd10c14dfe5e8eccb01c444abcaa1b50',
+        '776eb6c50ec81c017b46196ca2effb767aaf48a85d7515c2ed2f94f248e9588a',
     ),
 }
 
@@ -563,6 +563,29 @@ def test_check_and_analyse_are_pinned(capsys, tmp_path, edges_file, name, comman
         transcript += out + err.replace(str(tmp_path), "TMP")
     digest = hashlib.sha256(transcript.encode()).hexdigest()
     assert (tuple(codes), digest) == PINNED_CHECKS[name, command, fmt]
+
+
+@pytest.mark.parametrize(
+    "blocks, reason",
+    [
+        ("1\n2 3 4 5 6 7 8\n", "blocks need at least two runs"),
+        ("1 1 2\n3 4 5 6 7 8\n", "repeated run inside a block"),
+        ("1 2 3\n3 4 5 6 7 8\n", "blocks overlap"),
+        ("1 9\n2 3 4 5 6 7 8\n", "run index beyond 8"),
+        # read in file order: the run past n comes before the one-run block
+        ("5 6 7 8 9\n1\n", "run index beyond 8"),
+    ],
+    ids=["one-run", "repeated", "overlap", "past-n", "file-order"],
+)
+def test_check_and_analyse_reject_bad_blocks_alike(capsys, tmp_path, design_file, blocks, reason):
+    system, y, gamma = (tmp_path / f"{part}.txt" for part in ("system", "y", "gamma"))
+    system.write_text(blocks)
+    y.write_text("1\n" * 8)
+    gamma.write_text("1\n2\n")
+    check = run(capsys, ["randomise", design_file, "--check", str(system)])
+    argv = ["analyse", design_file, "--system", str(system), "--y", str(y), "--gamma", str(gamma)]
+    analyse = run(capsys, argv)
+    assert check == analyse == (4, "", f"circuitrand: invalid system: {reason}\n")
 
 
 @pytest.mark.parametrize("mode", [["--check", "BLOCKS"], ["--enumerate"]], ids=["check", "enumerate"])

@@ -57,51 +57,44 @@ def blocks1(system):
 
 
 def system_from_1based(n, blocks):
-    return RandomisationSystem.from_blocks(n, [[i - 1 for i in b] for b in blocks])
+    return RandomisationSystem(n, [[i - 1 for i in b] for b in blocks])
 
 
 def test_system_validation():
-    partition = "partition the runs exactly once each"
-    with pytest.raises(ValueError, match=partition):
-        RandomisationSystem.from_blocks(4, [[0, 1], [1, 2, 3]])  # overlap
-    with pytest.raises(ValueError, match="at least two runs"):
-        RandomisationSystem.from_blocks(4, [[0], [1, 2, 3]])  # size-1 block
-    with pytest.raises(ValueError, match=partition):
-        RandomisationSystem.from_blocks(4, [[0, 1]])  # does not cover
-    with pytest.raises(ValueError, match=partition):
-        RandomisationSystem.from_blocks(3, [[0, 1, 4]])  # out of range
-    with pytest.raises(ValueError, match="sorted ascending"):
-        RandomisationSystem(4, ((1, 0), (2, 3)))
-    with pytest.raises(ValueError, match=r"ordered by \(size, smallest element\)"):
-        RandomisationSystem(4, ((2, 3), (0, 1)))
-    with pytest.raises(ValueError, match=r"ordered by \(size, smallest element\)"):
-        RandomisationSystem(5, ((0, 1, 2), (3, 4)))
-    with pytest.raises(ValueError, match=partition):
-        RandomisationSystem(4, ((0, 0, 1), (2, 3)))  # repeated run
-    with pytest.raises(ValueError, match=partition):
-        RandomisationSystem(3, ((-1, 0), (1, 2)))  # negative run
-    # block checks come before the partition check, and that before the order
-    with pytest.raises(ValueError, match="sorted ascending"):
-        RandomisationSystem(5, ((1, 0), (2, 3)))
-    with pytest.raises(ValueError, match=partition):
-        RandomisationSystem(5, ((2, 3), (0, 1)))
+    with pytest.raises(ValueError, match="blocks overlap"):
+        RandomisationSystem(4, [[0, 1], [1, 2, 3]])
+    with pytest.raises(ValueError, match="blocks need at least two runs"):
+        RandomisationSystem(4, [[0], [1, 2, 3]])
+    with pytest.raises(ValueError, match="partition the runs exactly once each"):
+        RandomisationSystem(4, [[0, 1]])  # does not cover
+    with pytest.raises(ValueError, match="run index beyond 3"):
+        RandomisationSystem(3, [[0, 1, 4]])
+    with pytest.raises(ValueError, match="repeated run inside a block"):
+        RandomisationSystem(4, ((0, 0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="run indices cannot be negative"):
+        RandomisationSystem(3, ((-1, 0), (1, 2)))
+    # blocks are checked in the order given: the overlap comes before the short block
+    with pytest.raises(ValueError, match="blocks overlap"):
+        RandomisationSystem(5, ((1, 2), (2, 3), (4,)))
     # runs are read as integers, never truncated or parsed
     for blocks in (((0, 1.9), (2, 3)), ((0, 1.0), (2, 3)), (("0", "1"), (2, 3))):
         with pytest.raises(TypeError):
             RandomisationSystem(4, blocks)
-        with pytest.raises(TypeError):
-            RandomisationSystem.from_blocks(4, blocks)
 
 
-def test_from_blocks_canonicalises_order():
-    s = RandomisationSystem.from_blocks(6, [[5, 4], [3, 2], [1, 0]])
+def test_constructor_canonicalises_order():
+    s = RandomisationSystem(4, ((3, 2), (1, 0)))
+    t = RandomisationSystem(4, ((0, 1), (2, 3)))
+    assert s == t and hash(s) == hash(t)
+    assert s.blocks == ((0, 1), (2, 3))
+    s = RandomisationSystem(6, [[5, 4], [3, 2], [1, 0]])
     assert s.blocks == ((0, 1), (2, 3), (4, 5))
-    t = RandomisationSystem.from_blocks(6, [[2, 3, 4, 5], [0, 1]])
+    t = RandomisationSystem(6, [[2, 3, 4, 5], [0, 1]])
     assert t.blocks == ((0, 1), (2, 3, 4, 5))
 
 
 def test_shape_descending():
-    s = RandomisationSystem.from_blocks(7, [[0, 1], [2, 3, 4], [5, 6]])
+    s = RandomisationSystem(7, [[0, 1], [2, 3, 4], [5, 6]])
     assert s.shape == (3, 2, 2)
 
 
@@ -111,7 +104,7 @@ def test_is_valid_randomisation(model_2cubed):
     assert is_valid_randomisation(model_2cubed, good)
     assert not is_valid_randomisation(model_2cubed, bad)
     with pytest.raises(DimensionMismatchError):
-        is_valid_randomisation(model_2cubed, RandomisationSystem.from_blocks(4, [[0, 1], [2, 3]]))
+        is_valid_randomisation(model_2cubed, RandomisationSystem(4, [[0, 1], [2, 3]]))
 
 
 def test_randomisation_vectors_two_cubed(model_2cubed):
@@ -232,8 +225,9 @@ def _check_covers_against_brute_force(n, supports, shuffled):
     assert {frozenset(blocks) for blocks in listed} == expected
     assert len(listed) == len(expected)
     assert listed == sorted(listed)
+    # each listed cover is already in the constructor's canonical block order
     for blocks in listed:
-        assert RandomisationSystem(n, blocks) == RandomisationSystem.from_blocks(n, blocks)
+        assert RandomisationSystem(n, blocks).blocks == blocks
     # indices follow the input order among supports that tie on (size, first
     # run), so the listings are compared by their blocks
     assert _listed_blocks(n, shuffled) == listed
@@ -284,9 +278,9 @@ def test_catalog_view_matches_built_systems(name, include_full):
 
 
 def test_refines_and_shared_blocks():
-    fine = RandomisationSystem.from_blocks(6, [[0, 1], [2, 3], [4, 5]])
-    coarse = RandomisationSystem.from_blocks(6, [[0, 1], [2, 3, 4, 5]])
-    other = RandomisationSystem.from_blocks(6, [[0, 2], [1, 3], [4, 5]])
+    fine = RandomisationSystem(6, [[0, 1], [2, 3], [4, 5]])
+    coarse = RandomisationSystem(6, [[0, 1], [2, 3, 4, 5]])
+    other = RandomisationSystem(6, [[0, 2], [1, 3], [4, 5]])
     assert refines(fine, coarse)
     assert not refines(coarse, fine)
     assert refines(fine, fine)
