@@ -19,11 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circuitrand import cli
+from circuitrand.circuits import binary_circuits, circuit_basis, nonnegative_circuits
 from circuitrand.contrast import to_contrast_form
 from circuitrand.design_catalog import anova_two_way, choice_k_of_2k, factorial_two_level
 from circuitrand.randomisation import RandomisationSystem, enumerate_circuit_randomisations
 
 from conftest import DIGRAPH_EDGES
+from test_circuits import PINNED_BASES, _digest
 
 TWO_CUBED_CONTRAST = """3 8
 1 1 1 1 -1 -1 -1 -1
@@ -286,6 +288,31 @@ def test_circuits_missing_file(capsys):
     code, out, err = run(capsys, ["circuits", "no-such-file.txt"])
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("name", PINNED_BASES)
+def test_circuits_listing_is_pinned(capsys, tmp_path, name):
+    make, count, digest = PINNED_BASES[name]
+    matrix = make()
+    path = tmp_path / "m.txt"
+    path.write_text(cli.format_matrix_text(matrix))
+    code, out, err = run(capsys, ["circuits", str(path)])
+    summary = f"circuits={count}\n"
+    assert (code, err, out.endswith(summary)) == (0, "", True)
+    assert hashlib.sha256(out[: -len(summary)].encode()).hexdigest() == digest
+    basis = circuit_basis(matrix)
+    for flags in ([], ["--nonnegative"], ["--binary"]):
+        records, listed = {"circuits": len(basis)}, basis.circuits
+        if flags:
+            listed = nonnegative_circuits(basis)
+            records["nonnegative"] = len(listed)
+        if flags == ["--binary"]:
+            listed = binary_circuits(basis)
+            records["binary"] = len(listed)
+        records["vectors"] = [list(c.vector) for c in listed]
+        code, out, err = run(capsys, ["circuits", str(path), "--format", "records", *flags])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(records, indent=2) + "\n"
 
 
 def test_randomise_enumerate(capsys, design_file):
