@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .analysis_sim import (
     covariance_comparison,
@@ -240,14 +240,55 @@ def _design_from_matrix(matrix: IntMatrix) -> DesignModel:
 def _emit(args: argparse.Namespace, human_lines: Iterable[str], records: dict) -> None:
     """Print the records as JSON, or the human lines one by one as they come.
 
-    Values are formatted here, the ``Fraction``s in the records with
-    ``str``.  A result too long for Python to print as an integer exits 5
-    from :func:`main`; the human lines before it are already out.
+    Record values are formatted here, the ``Fraction``s with ``str``,
+    except for lists the caller streams as item texts (see
+    :func:`_record_texts`).  A result too long for Python to print as an
+    integer exits 5 from :func:`main`; the lines or items before it are
+    already out.
     """
     if args.format == "records":
-        print(json.dumps(records, indent=2, default=str))
+        sys.stdout.writelines(_record_texts(records))
     else:
         sys.stdout.writelines(line + "\n" for line in human_lines)
+
+
+def _record_texts(records: dict) -> Iterator[str]:
+    """The text of ``json.dumps(records, indent=2, default=str) + "\\n"``, in pieces.
+
+    A value given as an iterator is a list streamed item by item: it yields
+    each item's JSON text as it stands in the whole text, four spaces in,
+    and the brackets, commas and newlines are written around them here, so
+    a long listing is never held as one text.  The first item of every
+    streamed list is formatted before the opening brace, so a first item
+    too long to print leaves stdout empty, as in the human format.
+    """
+    members: list[Iterable[str]] = []
+    for key, value in records.items():
+        if isinstance(value, Iterator):
+            head = f"  {json.dumps(key)}: ["
+            first = next(value, None)
+            members.append(
+                [head + "]"]
+                if first is None
+                else chain([head, "\n", first], (",\n" + t for t in value), ["\n  ]"])
+            )
+        else:
+            # the member's lines as they stand in the whole object's text
+            members.append([json.dumps({key: value}, indent=2, default=str)[2:-2]])
+    yield "{"
+    separator = "\n"
+    for member in members:
+        yield separator
+        yield from member
+        separator = ",\n"
+    yield "\n}\n" if members else "}\n"
+
+
+def _int_list_template(n: int, indent: int) -> str:
+    """A ``%`` template for ``n`` ints as ``json.dumps(indent=2)`` lays out a
+    list ``indent`` spaces in; ``n`` is at least 1."""
+    pad = " " * indent
+    return f"{pad}[\n" + ",\n".join([f"{pad}  %d"] * n) + f"\n{pad}]"
 
 
 def _format_block(block: tuple[int, ...]) -> str:
@@ -330,10 +371,12 @@ def cmd_circuits(args: argparse.Namespace) -> int:
         listed = binary_circuits(basis)
         records["binary"] = len(listed)
     summary = " ".join(f"{key}={count}" for key, count in records.items())
+    # %d prints an int as str does, and fails past the digit limit alike
     if args.format == "records":
-        records["vectors"] = [list(c.vector) for c in listed]
-    lines = (" ".join(str(x) for x in c.vector) for c in listed)
-    _emit(args, chain(lines, [summary]), records)
+        item = _int_list_template(matrix.n_cols, 4)
+        records["vectors"] = (item % c.vector for c in listed)
+    line = " ".join(["%d"] * matrix.n_cols)
+    _emit(args, chain((line % c.vector for c in listed), [summary]), records)
     return EXIT_OK
 
 
@@ -345,8 +388,13 @@ def cmd_randomise(args: argparse.Namespace) -> int:
     catalog = enumerate_circuit_randomisations(model, include_full=args.include_full)
     records: dict = {}
     if args.format == "records":
-        one_based = [[i + 1 for i in b] for b in catalog.supports]
-        records["systems"] = [list(map(one_based.__getitem__, c)) for c in catalog.covers]
+        # each support's JSON text is formatted once, as its label is below
+        texts = [
+            _int_list_template(len(b), 6) % tuple([i + 1 for i in b]) for b in catalog.supports
+        ]
+        records["systems"] = (
+            "    [\n" + ",\n".join(map(texts.__getitem__, c)) + "\n    ]" for c in catalog.covers
+        )
     tail = []
     if args.shapes:
         shape_counts = catalog.shape_counts
@@ -357,7 +405,8 @@ def cmd_randomise(args: argparse.Namespace) -> int:
         ]
         records["shapes"] = [[list(shape), count] for shape, count in shape_counts.items()]
     if args.lattice and args.format == "records":
-        records["lattice_edges"] = [[c + 1, f + 1] for c, f in catalog.refinement_edges]
+        edge = _int_list_template(2, 4)
+        records["lattice_edges"] = (edge % (c + 1, f + 1) for c, f in catalog._edges())
     elif args.lattice:
         # one edge from the single-block cover to each other system, else none
         full = any(len(c) == 1 for c in catalog.covers)

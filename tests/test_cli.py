@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -452,6 +454,82 @@ def test_randomise_listing_is_pinned(capsys, tmp_path, edges_file, name, fmt, in
     code, out, err = run(capsys, argv + ["--include-full"] * include_full)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LISTINGS[name, fmt, include_full]
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+
+def test_records_memory_is_bounded_by_the_human_format(tmp_path, capsys):
+    design = tmp_path / "a55.txt"
+    assert cli.main(["catalog", "anova2", "--I", "5", "--J", "5", "-o", str(design)]) == 0
+    capsys.readouterr()
+    argv = ["randomise", str(design), "--enumerate", "--shapes", "--lattice", "--include-full"]
+
+    def run_into_sink(fmt):
+        sink = _CountingSink()
+        with contextlib.redirect_stdout(sink):
+            assert cli.main(argv + ["--format", fmt]) == 0
+        return sink.count
+
+    run_into_sink("human")  # memoises the design's model outside the measured runs
+    peaks, counts = {}, {}
+    for fmt in ("human", "records"):
+        tracemalloc.start()
+        try:
+            counts[fmt] = run_into_sink(fmt)
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the records text is about five times the human text
+    assert counts["records"] > 4 * counts["human"] > 0
+    assert peaks["records"] <= 2 * peaks["human"]
+
+
+def _item_text(item) -> str:
+    """An item of a top-level list, as json.dumps(indent=2) lays it out."""
+    return "    " + json.dumps(item, indent=2, default=str).replace("\n", "\n    ")
+
+
+_INTS_1 = st.lists(st.integers(), max_size=4)
+_INTS_2 = st.lists(_INTS_1, max_size=3)
+_INTS_3 = st.lists(_INTS_2, max_size=3)
+_SCALARS = st.one_of(st.integers(), st.text(), st.fractions(), st.booleans())
+_RECORD_VALUES = st.one_of(_SCALARS, _INTS_1, _INTS_2, _INTS_3, st.lists(_SCALARS, max_size=4))
+
+
+@st.composite
+def _streamed_records(draw):
+    """Records, and the same records with some list values streamed as item texts."""
+    records = draw(st.dictionaries(st.text(max_size=4), _RECORD_VALUES, max_size=5))
+    streamed = {
+        key: iter([_item_text(x) for x in value])
+        if isinstance(value, list) and draw(st.booleans())
+        else value
+        for key, value in records.items()
+    }
+    return records, streamed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_streamed_records())
+@example(({}, {}))
+@example(({"a": [], "b": []}, {"a": [], "b": iter([])}))
+@example(({"a": [[[1]], []], "b": Fraction(-1, 2)}, {"a": iter(["    [\n      [\n        1\n      ]\n    ]", "    []"]), "b": Fraction(-1, 2)}))
+def test_streamed_records_are_what_json_dumps_writes(case):
+    records, streamed = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(argparse.Namespace(format="records"), [], streamed)
+    assert out.getvalue() == json.dumps(records, indent=2, default=str) + "\n"
 
 
 def _counted_systems(monkeypatch) -> list:
@@ -905,6 +983,24 @@ def test_a_result_over_the_digit_limit_is_a_budget_error(capsys, tmp_path, comma
         "Python's limit for printing an integer\n"
     )
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["human", "records"])
+def test_circuits_over_the_digit_limit_keeps_the_listed_circuits(capsys, tmp_path, fmt):
+    # the zero column's unit circuit sorts first and prints; the second fails
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(f"2 4\n{NINES} 1 0 0\n0 {NINES} 1 0\n")
+    code, out, err = run(capsys, ["circuits", str(matrix), "--format", fmt])
+    first = (
+        "0 0 0 1\n"
+        if fmt == "human"
+        else '{\n  "circuits": 2,\n  "vectors": [\n    [\n      0,\n      0,\n      0,\n      1\n    ]'
+    )
+    assert (code, out) == (5, first)
+    assert err == (
+        "circuitrand: budget exceeded: a result has more than 4300 digits, "
+        "Python's limit for printing an integer\n"
+    )
 
 
 # tokens that a parser must reject, or accept at the edge of the digit limit
