@@ -523,7 +523,10 @@ def _streamed_records(draw):
 @given(_streamed_records())
 @example(({}, {}))
 @example(({"a": [], "b": []}, {"a": [], "b": iter([])}))
-@example(({"a": [[[1]], []], "b": Fraction(-1, 2)}, {"a": iter(["    [\n      [\n        1\n      ]\n    ]", "    []"]), "b": Fraction(-1, 2)}))
+@example((
+    {"a": [[[1]], []], "b": Fraction(-1, 2)},
+    {"a": iter(["    [\n      [\n        1\n      ]\n    ]", "    []"]), "b": Fraction(-1, 2)},
+))
 def test_streamed_records_are_what_json_dumps_writes(case):
     records, streamed = case
     out = io.StringIO()
