@@ -1338,3 +1338,33 @@ def test_a_memo_hit_prints_what_a_miss_prints(capsys, tmp_path, fmt):
         hit = run(capsys, argv)
         assert cli._model_of_text.cache_info().hits == 1
         assert hit == miss and miss[0] == 0
+
+
+@pytest.mark.parametrize("fmt", ["human", "records"])
+def test_crlf_files_read_as_lf_files(capsys, tmp_path, fmt):
+    check, analyse = _fold_over_request(tmp_path, 3)
+    requests = [check + ["--format", fmt], analyse + ["--format", fmt]]
+    lf = [run(capsys, argv) for argv in requests]
+    for name in (analyse[1], *analyse[3::2]):
+        path = Path(name)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert [run(capsys, argv) for argv in requests] == lf
+    assert [code for code, _, _ in lf] == [0, 0]
+
+
+def test_a_non_ascii_comment_is_skipped(capsys, tmp_path):
+    check, _ = _fold_over_request(tmp_path, 3)
+    design = Path(check[1])
+    design.write_bytes("# café\n".encode() + design.read_bytes())
+    assert run(capsys, check) == (0, "valid\n", "")
+
+
+@pytest.mark.parametrize("index", [1, 3, 5, 7], ids=["design", "system", "y", "gamma"])
+def test_a_file_that_is_not_utf8_is_a_parameter_error(capsys, tmp_path, index):
+    _, analyse = _fold_over_request(tmp_path, 3)
+    bad = analyse[index]
+    Path(bad).write_bytes(b"1 \xff\n")
+    code, out, err = run(capsys, analyse)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"circuitrand: {bad}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
