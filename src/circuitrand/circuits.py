@@ -63,6 +63,17 @@ class Circuit:
         return all(x in (0, 1) for x in self.vector)
 
 
+def _trusted_circuit(vector: tuple[int, ...]) -> Circuit:
+    """A :class:`Circuit` built without checking that ``vector`` is nonzero.
+
+    For the vectors the searches build, each nonzero by construction.  The
+    result is equal, with an equal hash, to the checked ``Circuit(vector)``.
+    """
+    c = object.__new__(Circuit)
+    c.__dict__["vector"] = vector
+    return c
+
+
 @dataclass(frozen=True)
 class CircuitBasis:
     """All circuits of a matrix, sorted ascending lexicographically by vector."""
@@ -88,7 +99,7 @@ def circuit_basis(a: IntMatrix) -> CircuitBasis:
     vectors = _cycle_vectors(a, directed=False)
     if vectors is None:
         return _general_basis(a)
-    return CircuitBasis(matrix=a, circuits=tuple(map(Circuit, vectors)))
+    return CircuitBasis(matrix=a, circuits=tuple(map(_trusted_circuit, vectors)))
 
 
 def binary_circuit_vectors(a: IntMatrix) -> list[tuple[int, ...]]:
@@ -330,7 +341,7 @@ def _general_basis(a: IntMatrix) -> CircuitBasis:
     if pending:
         search(pending, 1)
     vectors.sort()
-    return CircuitBasis(matrix=a, circuits=tuple(map(Circuit, vectors)))
+    return CircuitBasis(matrix=a, circuits=tuple(map(_trusted_circuit, vectors)))
 
 
 def _general_binary(a: IntMatrix) -> list[tuple[int, ...]]:

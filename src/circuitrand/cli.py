@@ -24,7 +24,6 @@ import os
 import sys
 from fractions import Fraction
 from itertools import chain
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .analysis_sim import (
@@ -198,12 +197,14 @@ def parse_rational_list(text: str) -> list[Fraction]:
 def _read(path: str, parse: Callable[[str], _T]) -> _T:
     """Parse the text of ``path``, with a message naming the file on error.
 
-    A file that cannot be read or parsed exits 2, and a design whose column
-    space lacks the all-ones vector exits 3.
+    The file is read as bytes and decoded as UTF-8 under every locale; the
+    parsers split lines with ``splitlines``, so CRLF files read as LF files.
+    A file that cannot be read, decoded or parsed exits 2, and a design
+    whose column space lacks the all-ones vector exits 3.
     """
     try:
-        with open(path) as file:
-            text = file.read()
+        with open(path, "rb") as file:
+            text = file.read().decode()
         return parse(text)
     except OSError as exc:
         raise CliError(EXIT_PARAMS, f"cannot read {path}: {exc}") from exc
@@ -333,7 +334,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     body = text + "\n".join(comments) + "\n"
     if args.output:
         try:
-            Path(args.output).write_text(body)
+            with open(args.output, "w", encoding="utf-8") as file:
+                file.write(body)
         except OSError as exc:
             raise CliError(EXIT_PARAMS, f"cannot write {args.output}: {exc}") from exc
         return EXIT_OK
@@ -518,12 +520,83 @@ def _analyse_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by later calls.
+def _catalog_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", choices=("factorial", "anova2", "choice", "digraph"))
+    p.add_argument("--k", type=int, help="factor count (factorial) or k (choice)")
+    p.add_argument("--I", type=int, help="row levels (anova2)")
+    p.add_argument("--J", type=int, help="column levels (anova2)")
+    p.add_argument("--edges", help="edge list file (digraph family)")
+    p.add_argument("-o", "--output", help="write the matrix file here instead of stdout")
+    p.set_defaults(func=cmd_catalog)
 
-    Parsing leaves no state in the parser: each call returns a fresh
-    namespace, so repeated :func:`main` calls in one process reuse it.
+
+def _circuits_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="matrix file")
+    p.add_argument("--nonnegative", action="store_true", help="list nonnegative circuits only")
+    p.add_argument("--binary", action="store_true", help="list binary circuits only")
+    p.add_argument("--transpose", action="store_true", help="use the transposed matrix")
+    p.set_defaults(func=cmd_circuits)
+
+
+def _randomise_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="design matrix file")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--enumerate", action="store_true", help="list all circuit-based systems")
+    mode.add_argument("--check", metavar="FILE", help="validate the partition in FILE")
+    p.add_argument(
+        "--include-full", action="store_true", help="include the single-block full randomisation"
+    )
+    p.add_argument("--shapes", action="store_true", help="print the block-shape count table")
+    p.add_argument("--lattice", action="store_true", help="print refinement covering edges")
+    p.set_defaults(func=cmd_randomise)
+
+
+def _tu_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="matrix file")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_SIZE_CAP,
+        help="budget on the number of square submatrices the matrix has "
+        "(not the number the test examines)",
+    )
+    p.set_defaults(func=cmd_tu)
+
+
+def _analyse_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", nargs="?", help="design matrix file")
+    p.add_argument("--system", metavar="FILE", help="blocks file, one block per line")
+    p.add_argument("--y", metavar="FILE", help="response vector file")
+    p.add_argument("--gamma", metavar="FILE", help="block effect vector file")
+    p.add_argument("--simulate", action="store_true", help="run the A/B Monte Carlo instead")
+    p.add_argument("--n1", type=int, help="group A size (--simulate)")
+    p.add_argument("--n2", type=int, help="group B size (--simulate)")
+    p.add_argument("--theta1", type=float, default=0.0, help="group A mean (--simulate)")
+    p.add_argument("--theta2", type=float, default=0.0, help="group B mean (--simulate)")
+    p.add_argument("--sd", type=float, default=1.0, help="confounder sd (--simulate)")
+    p.add_argument("--replications", type=int, default=1000, help="replication count")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (--simulate)")
+    p.set_defaults(func=cmd_analyse)
+
+
+# name -> (help, adds the subcommand's own arguments), in the usage's order
+_SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "catalog": ("generate a catalog design", _catalog_arguments),
+    "circuits": ("compute a circuit basis", _circuits_arguments),
+    "randomise": ("enumerate or check randomisation systems", _randomise_arguments),
+    "tu": ("test total unimodularity", _tu_arguments),
+    "analyse": ("exact estimates and block diagnostics", _analyse_arguments),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, or with ``None`` the full parser.
+
+    The subcommand's parser is the subparser the full parser holds for it,
+    built without its siblings.  Each is built on first use and shared by
+    later calls; parsing leaves no state in a parser, since each call
+    returns a fresh namespace.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -532,77 +605,40 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
         help="human-readable report or JSON records with the same numbers",
     )
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"circuitrand {command}", parents=[common])
+        _SUBCOMMANDS[command][1](parser)
+        return parser
 
     parser = argparse.ArgumentParser(
         prog="circuitrand",
         description="Circuit bases and valid randomisation systems, exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cat = sub.add_parser("catalog", parents=[common], help="generate a catalog design")
-    p_cat.add_argument("family", choices=("factorial", "anova2", "choice", "digraph"))
-    p_cat.add_argument("--k", type=int, help="factor count (factorial) or k (choice)")
-    p_cat.add_argument("--I", type=int, help="row levels (anova2)")
-    p_cat.add_argument("--J", type=int, help="column levels (anova2)")
-    p_cat.add_argument("--edges", help="edge list file (digraph family)")
-    p_cat.add_argument("-o", "--output", help="write the matrix file here instead of stdout")
-    p_cat.set_defaults(func=cmd_catalog)
-
-    p_cir = sub.add_parser("circuits", parents=[common], help="compute a circuit basis")
-    p_cir.add_argument("input", help="matrix file")
-    p_cir.add_argument("--nonnegative", action="store_true", help="list nonnegative circuits only")
-    p_cir.add_argument("--binary", action="store_true", help="list binary circuits only")
-    p_cir.add_argument("--transpose", action="store_true", help="use the transposed matrix")
-    p_cir.set_defaults(func=cmd_circuits)
-
-    p_ran = sub.add_parser(
-        "randomise", parents=[common], help="enumerate or check randomisation systems"
-    )
-    p_ran.add_argument("input", help="design matrix file")
-    mode = p_ran.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--enumerate", action="store_true", help="list all circuit-based systems")
-    mode.add_argument("--check", metavar="FILE", help="validate the partition in FILE")
-    p_ran.add_argument(
-        "--include-full", action="store_true", help="include the single-block full randomisation"
-    )
-    p_ran.add_argument("--shapes", action="store_true", help="print the block-shape count table")
-    p_ran.add_argument("--lattice", action="store_true", help="print refinement covering edges")
-    p_ran.set_defaults(func=cmd_randomise)
-
-    p_tu = sub.add_parser("tu", parents=[common], help="test total unimodularity")
-    p_tu.add_argument("input", help="matrix file")
-    p_tu.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_SIZE_CAP,
-        help="budget on the number of square submatrices the matrix has "
-        "(not the number the test examines)",
-    )
-    p_tu.set_defaults(func=cmd_tu)
-
-    p_ana = sub.add_parser(
-        "analyse", parents=[common], help="exact estimates and block diagnostics"
-    )
-    p_ana.add_argument("input", nargs="?", help="design matrix file")
-    p_ana.add_argument("--system", metavar="FILE", help="blocks file, one block per line")
-    p_ana.add_argument("--y", metavar="FILE", help="response vector file")
-    p_ana.add_argument("--gamma", metavar="FILE", help="block effect vector file")
-    p_ana.add_argument("--simulate", action="store_true", help="run the A/B Monte Carlo instead")
-    p_ana.add_argument("--n1", type=int, help="group A size (--simulate)")
-    p_ana.add_argument("--n2", type=int, help="group B size (--simulate)")
-    p_ana.add_argument("--theta1", type=float, default=0.0, help="group A mean (--simulate)")
-    p_ana.add_argument("--theta2", type=float, default=0.0, help="group B mean (--simulate)")
-    p_ana.add_argument("--sd", type=float, default=1.0, help="confounder sd (--simulate)")
-    p_ana.add_argument("--replications", type=int, default=1000, help="replication count")
-    p_ana.add_argument("--seed", type=int, default=0, help="RNG seed (--simulate)")
-    p_ana.set_defaults(func=cmd_analyse)
-
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, parents=[common], help=help_text))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser().parse_args`` does.
+
+    A command line that starts with a subcommand is parsed by that
+    subcommand's parser alone; it fails there as it would in the full
+    parser's subparser.  One that leaves arguments over, and every other
+    command line, goes to the full parser, so its usage and errors are the
+    full parser's.
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         # flush inside the try, so a closed pipe is caught here

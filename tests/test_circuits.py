@@ -49,6 +49,14 @@ def test_zero_circuit_rejected():
         Circuit((0, 0))
 
 
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6).filter(any).map(tuple))
+def test_a_trusted_circuit_is_the_checked_circuit(vector):
+    trusted = circuits._trusted_circuit(vector)
+    assert trusted == Circuit(vector)
+    assert hash(trusted) == hash(Circuit(vector))
+    assert (trusted.vector, trusted.support) == (vector, Circuit(vector).support)
+
+
 def test_circuit_basis_matches_brute_force():
     rng = random.Random(20260815)
     for _ in range(60):

@@ -1368,3 +1368,52 @@ def test_a_file_that_is_not_utf8_is_a_parameter_error(capsys, tmp_path, index):
     assert (code, out) == (2, "")
     assert err.startswith(f"circuitrand: {bad}: 'utf-8' codec can't decode")
     assert "Traceback" not in err
+
+
+def _parsed(parse, argv):
+    """The namespace ``parse(argv)`` returns, or its exit code, with what it
+    printed; values are compared by ``repr``, so a parsed NaN equals itself."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {key: repr(value) for key, value in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _parser_argvs(draw):
+    """An argv of :func:`_cli_cases`, sometimes spliced with an argument that
+    fails or asks for help, or with its subcommand dropped."""
+    argv, _ = draw(_cli_cases())
+    if draw(st.booleans()):
+        extra = draw(st.sampled_from([["--bogus"], ["-h"], ["--format=nope"], ["--cap", "x"]]))
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = extra
+    if draw(st.integers(0, 9)) == 0:
+        del argv[0]
+    return argv
+
+
+@given(_parser_argvs())
+@example(["randomise", "x", "--bogus", "-h"])
+@example(["tu", "x", "--", "y"])
+@example([])
+def test_the_subcommand_route_parses_as_the_full_parser(argv):
+    assert _parsed(cli._parse, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+
+def test_a_request_builds_only_its_subcommand_parser(capsys, tmp_path):
+    check, _ = _fold_over_request(tmp_path, 3)
+    cli.build_parser.cache_clear()
+    assert run(capsys, check) == (0, "valid\n", "")
+    assert cli.build_parser.cache_info().currsize == 1
+    cli.build_parser("randomise")
+    assert cli.build_parser.cache_info().hits == 1
+    usage = "usage: circuitrand [-h] {catalog,circuits,randomise,tu,analyse} ...\n"
+    for argv, code, stream in (([], 2, "err"), (["-h"], 0, "out")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+        assert getattr(capsys.readouterr(), stream).startswith(usage)
