@@ -251,6 +251,42 @@ def test_catalog_digraph_empty_edges(capsys, tmp_path, text):
     assert err == f"circuitrand: {p}: empty edges file\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["factorial"], "the factorial family needs --k"),
+        (["anova2", "--I", "3"], "the anova2 family needs --I and --J"),
+        (["choice"], "the choice family needs --k"),
+        (["choice", "--k", "1"], "k must be at least 2, got 1"),
+        (["factorial", "--k", "13"], "k must be between 1 and 12, got 13"),
+        (["anova2", "--I", "1", "--J", "3"], "a two-way layout needs at least two levels per factor"),
+    ],
+)
+def test_catalog_parameter_errors_are_pinned(capsys, argv, message):
+    assert run(capsys, ["catalog", *argv]) == (2, "", f"circuitrand: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("blocks", "1 x\n", "block line must hold integers: '1 x'"),
+        ("blocks", "0 1\n", "run indices are 1-based and must be positive"),
+        ("blocks", "# only a comment\n", "empty blocks file"),
+        ("edges", "1 2 3\n", "edge line must be 'tail head', got '1 2 3'"),
+        ("edges", "1 x\n", "edge line must hold integers: '1 x'"),
+        ("edges", "0 1\n", "vertex numbers are 1-based and must be positive"),
+    ],
+)
+def test_blocks_and_edges_file_errors_are_pinned(capsys, tmp_path, design_file, kind, text, message):
+    p = tmp_path / f"{kind}.txt"
+    p.write_text(text)
+    if kind == "blocks":
+        argv = ["randomise", design_file, "--check", str(p)]
+    else:
+        argv = ["catalog", "digraph", "--edges", str(p)]
+    assert run(capsys, argv) == (2, "", f"circuitrand: {p}: {message}\n")
+
+
 def test_catalog_anova2_over_budget(capsys):
     code, out, err = run(capsys, ["catalog", "anova2", "--I", "65", "--J", "64"])
     assert code == 2
