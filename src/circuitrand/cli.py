@@ -42,7 +42,6 @@ from .contrast import (
 from .design_catalog import (
     MAX_RUNS,
     NotBalancedError,
-    OutOfBudgetError,
     anova_two_way,
     choice_k_of_2k,
     digraph_design,
@@ -51,8 +50,8 @@ from .design_catalog import (
 from .exact_linalg import IntMatrix, _trusted_matrix
 from .randomisation import (
     RandomisationSystem,
+    SchemeCatalog,
     _block_violation,
-    _check_blocks,
     enumerate_circuit_randomisations,
 )
 from .unimodular import (
@@ -127,40 +126,38 @@ def format_matrix_text(matrix: IntMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _one_based_lines(text: str, noun: str, numbers: str, pair: str = "") -> list[tuple[int, ...]]:
+    """Lines of 1-based positive integers, each returned as a 0-based tuple.
+
+    ``noun`` names a line and, plural, the file, and ``numbers`` the
+    integers; with ``pair`` every line must hold two, laid out as it says.
+    """
+    rows = []
+    for line in _strip_comments(text):
+        toks = line.split()
+        if pair and len(toks) != 2:
+            raise ValueError(f"{noun} line must be {pair}, got {line!r}")
+        try:
+            values = tuple(map(int, toks))
+        except ValueError:
+            raise ValueError(f"{noun} line must hold integers: {line!r}") from None
+        # a kept line holds at least one token
+        if min(values) < 1:
+            raise ValueError(f"{numbers} are 1-based and must be positive")
+        rows.append(tuple([i - 1 for i in values]))
+    if not rows:
+        raise ValueError(f"empty {noun}s file")
+    return rows
+
+
 def parse_blocks_text(text: str) -> list[tuple[int, ...]]:
     """One block per line, 1-based run indices; returned 0-based."""
-    blocks = []
-    for line in _strip_comments(text):
-        try:
-            indices = tuple(map(int, line.split()))
-        except ValueError:
-            raise ValueError(f"block line must hold integers: {line!r}") from None
-        # a kept line holds at least one token
-        if min(indices) < 1:
-            raise ValueError("run indices are 1-based and must be positive")
-        blocks.append(tuple([i - 1 for i in indices]))
-    if not blocks:
-        raise ValueError("empty blocks file")
-    return blocks
+    return _one_based_lines(text, "block", "run indices")
 
 
 def parse_edges_text(text: str) -> DirectedGraph:
     """One 'tail head' pair per line, 1-based vertex numbers."""
-    edges = []
-    for line in _strip_comments(text):
-        toks = line.split()
-        if len(toks) != 2:
-            raise ValueError(f"edge line must be 'tail head', got {line!r}")
-        try:
-            t, h = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise ValueError(f"edge line must hold integers: {line!r}") from None
-        if t < 1 or h < 1:
-            raise ValueError("vertex numbers are 1-based and must be positive")
-        edges.append((t - 1, h - 1))
-    if not edges:
-        raise ValueError("empty edges file")
-    return DirectedGraph.from_edges(edges)
+    return DirectedGraph.from_edges(_one_based_lines(text, "edge", "vertex numbers", "'tail head'"))
 
 
 def _rational(tok: str) -> Fraction:
@@ -227,20 +224,16 @@ def _model_of_text(text: str) -> ContrastModel:
     calls on one design reduce it once; an error is raised afresh each
     time, since ``lru_cache`` keeps no exceptions.
     """
-    return to_contrast_form(_design_from_matrix(parse_matrix_text(text)))
-
-
-def _design_from_matrix(matrix: IntMatrix) -> DesignModel:
-    return DesignModel(
-        matrix=matrix,
-        run_labels=tuple(str(i + 1) for i in range(matrix.n_rows)),
-        param_labels=tuple(f"p{j + 1}" for j in range(matrix.n_cols)),
-    )
+    matrix = parse_matrix_text(text)
+    runs = tuple(str(i + 1) for i in range(matrix.n_rows))
+    params = tuple(f"p{j + 1}" for j in range(matrix.n_cols))
+    return to_contrast_form(DesignModel(matrix, runs, params))
 
 
 def _emit(args: argparse.Namespace, human_lines: Iterable[str], records: dict) -> None:
     """Print the records as JSON, or the human lines one by one as they come.
 
+    The one reader of ``--format``; a listing it does not print is never formatted.
     Record values are formatted here, the ``Fraction``s with ``str``,
     except for lists the caller streams as item texts (see
     :func:`_record_texts`).  A result too long for Python to print as an
@@ -300,37 +293,41 @@ def _format_fractions(values: Sequence[Fraction]) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
+def _cover_texts(catalog: SchemeCatalog, form: Callable, sep: str) -> Iterator[str]:
+    """Each system as its blocks' texts joined by ``sep``; on first use,
+    every support is formatted by ``form`` once."""
+    texts = [form(b) for b in catalog.supports]
+    for c in catalog.covers:
+        yield sep.join(map(texts.__getitem__, c))
+
+
+# family -> (generator, the options it is called with), digraph aside
+_FAMILIES: dict[str, tuple[Callable[..., DesignModel], tuple[str, ...]]] = {
+    "factorial": (factorial_two_level, ("k",)),
+    "anova2": (anova_two_way, ("I", "J")),
+    "choice": (choice_k_of_2k, ("k",)),
+}
+
+
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.family == "digraph":
-        graph = _parse_edges_arg(args.edges)
-        try:
-            design = digraph_design(graph)
-        except OutOfBudgetError as exc:
-            raise CliError(EXIT_PARAMS, str(exc)) from exc
-        except NotBalancedError as exc:
-            raise CliError(EXIT_PRECONDITION, str(exc)) from exc
+        _require(bool(args.edges), "the digraph family needs --edges FILE")
+        make, inputs = digraph_design, [_read(args.edges, parse_edges_text)]
     else:
-        try:
-            if args.family == "factorial":
-                _require(args.k is not None, "the factorial family needs --k")
-                design = factorial_two_level(args.k)
-            elif args.family == "anova2":
-                _require(
-                    args.I is not None and args.J is not None,
-                    "the anova2 family needs --I and --J",
-                )
-                design = anova_two_way(args.I, args.J)
-            else:
-                _require(args.k is not None, "the choice family needs --k")
-                design = choice_k_of_2k(args.k)
-        except (OutOfBudgetError, ValueError) as exc:
-            raise CliError(EXIT_PARAMS, str(exc)) from exc
+        make, names = _FAMILIES[args.family]
+        inputs = [getattr(args, name) for name in names]
+        needs = " and ".join(f"--{name}" for name in names)
+        _require(None not in inputs, f"the {args.family} family needs {needs}")
+    try:
+        design = make(*inputs)
+    except NotBalancedError as exc:
+        raise CliError(EXIT_PRECONDITION, str(exc)) from exc
+    except ValueError as exc:
+        raise CliError(EXIT_PARAMS, str(exc)) from exc
 
     text = format_matrix_text(design.matrix)
     comments = [f"# run {i + 1}: {label}" for i, label in enumerate(design.run_labels)]
-    comments += [
-        f"# param {j + 1}: {label}" for j, label in enumerate(design.param_labels)
-    ]
+    comments += [f"# param {j + 1}: {label}" for j, label in enumerate(design.param_labels)]
     body = text + "\n".join(comments) + "\n"
     if args.output:
         try:
@@ -353,12 +350,6 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_edges_arg(path: str | None) -> DirectedGraph:
-    if not path:
-        raise CliError(EXIT_PARAMS, "the digraph family needs --edges FILE")
-    return _read(path, parse_edges_text)
-
-
 def cmd_circuits(args: argparse.Namespace) -> int:
     matrix = _read(args.input, parse_matrix_text)
     if args.transpose:
@@ -374,9 +365,8 @@ def cmd_circuits(args: argparse.Namespace) -> int:
         records["binary"] = len(listed)
     summary = " ".join(f"{key}={count}" for key, count in records.items())
     # %d prints an int as str does, and fails past the digit limit alike
-    if args.format == "records":
-        item = _int_list_template(matrix.n_cols, 4)
-        records["vectors"] = (item % c.vector for c in listed)
+    item = _int_list_template(matrix.n_cols, 4)
+    records["vectors"] = (item % c.vector for c in listed)
     line = " ".join(["%d"] * matrix.n_cols)
     _emit(args, chain((line % c.vector for c in listed), [summary]), records)
     return EXIT_OK
@@ -388,36 +378,24 @@ def cmd_randomise(args: argparse.Namespace) -> int:
         return _randomise_check(args, model)
 
     catalog = enumerate_circuit_randomisations(model, include_full=args.include_full)
-    records: dict = {}
-    if args.format == "records":
-        # each support's JSON text is formatted once, as its label is below
-        texts = [
-            _int_list_template(len(b), 6) % tuple([i + 1 for i in b]) for b in catalog.supports
-        ]
-        records["systems"] = (
-            "    [\n" + ",\n".join(map(texts.__getitem__, c)) + "\n    ]" for c in catalog.covers
-        )
-    tail = []
+    blocks = _cover_texts(
+        catalog, lambda b: _int_list_template(len(b), 6) % tuple([i + 1 for i in b]), ",\n"
+    )
+    records: dict = {"systems": ("    [\n" + t + "\n    ]" for t in blocks)}
+    # the human report's parts, chained once so each line passes one chain
+    parts = [[f"systems={len(catalog)}"], _cover_texts(catalog, _format_block, " ")]
     if args.shapes:
         shape_counts = catalog.shape_counts
-        tail.append("shapes:")
-        tail += [
-            "+".join(str(x) for x in shape) + f" {count}"
-            for shape, count in shape_counts.items()
-        ]
-        records["shapes"] = [[list(shape), count] for shape, count in shape_counts.items()]
-    if args.lattice and args.format == "records":
+        parts.append(["shapes:"] + [f"{'+'.join(map(str, s))} {n}" for s, n in shape_counts.items()])
+        records["shapes"] = [[list(shape), n] for shape, n in shape_counts.items()]
+    if args.lattice:
         edge = _int_list_template(2, 4)
         records["lattice_edges"] = (edge % (c + 1, f + 1) for c, f in catalog._edges())
-    elif args.lattice:
         # one edge from the single-block cover to each other system, else none
         full = any(len(c) == 1 for c in catalog.covers)
-        tail.append(f"lattice-edges={len(catalog) - 1 if full else 0}")
-        tail = chain(tail, (f"{c + 1} covers {f + 1}" for c, f in catalog._edges()))
-    # one label per support; a system's line is formatted only as it is printed
-    labels = [_format_block(b) for b in catalog.supports]
-    system_lines = (" ".join(map(labels.__getitem__, c)) for c in catalog.covers)
-    _emit(args, chain([f"systems={len(catalog)}"], system_lines, tail), records)
+        parts.append([f"lattice-edges={len(catalog) - 1 if full else 0}"])
+        parts.append(f"{c + 1} covers {f + 1}" for c, f in catalog._edges())
+    _emit(args, chain.from_iterable(parts), records)
     return EXIT_OK
 
 
@@ -462,7 +440,9 @@ def cmd_analyse(args: argparse.Namespace) -> int:
     model = _read(args.input, _model_of_text)
     blocks = _read(args.system, parse_blocks_text)
     try:
-        _check_blocks(model.n_runs, blocks)
+        # checks the blocking before y and gamma are read; to_contrast_form
+        # keeps the contrasts independent, so no RankDeficientError gets here
+        covariance = covariance_comparison(model, blocks)
     except ValueError as exc:
         raise CliError(EXIT_INVALID_SYSTEM, f"invalid system: {exc}") from exc
     y = _read(args.y, parse_rational_list)
@@ -482,7 +462,7 @@ def cmd_analyse(args: argparse.Namespace) -> int:
         "bias": bias,
         # estimates are linear in y, so the shift moves them by exactly the bias
         "invariance": "violated" if any(bias) else "exact",
-        "covariance": covariance_comparison(model, blocks).value,
+        "covariance": covariance.value,
     }
     lines = (
         f"{key}: {_format_fractions(value) if isinstance(value, tuple) else value}"
@@ -521,13 +501,12 @@ def _analyse_simulate(args: argparse.Namespace) -> int:
 
 
 def _catalog_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family", choices=("factorial", "anova2", "choice", "digraph"))
+    p.add_argument("family", choices=(*_FAMILIES, "digraph"))
     p.add_argument("--k", type=int, help="factor count (factorial) or k (choice)")
     p.add_argument("--I", type=int, help="row levels (anova2)")
     p.add_argument("--J", type=int, help="column levels (anova2)")
     p.add_argument("--edges", help="edge list file (digraph family)")
     p.add_argument("-o", "--output", help="write the matrix file here instead of stdout")
-    p.set_defaults(func=cmd_catalog)
 
 
 def _circuits_arguments(p: argparse.ArgumentParser) -> None:
@@ -535,7 +514,6 @@ def _circuits_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nonnegative", action="store_true", help="list nonnegative circuits only")
     p.add_argument("--binary", action="store_true", help="list binary circuits only")
     p.add_argument("--transpose", action="store_true", help="use the transposed matrix")
-    p.set_defaults(func=cmd_circuits)
 
 
 def _randomise_arguments(p: argparse.ArgumentParser) -> None:
@@ -548,7 +526,6 @@ def _randomise_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--shapes", action="store_true", help="print the block-shape count table")
     p.add_argument("--lattice", action="store_true", help="print refinement covering edges")
-    p.set_defaults(func=cmd_randomise)
 
 
 def _tu_arguments(p: argparse.ArgumentParser) -> None:
@@ -560,7 +537,6 @@ def _tu_arguments(p: argparse.ArgumentParser) -> None:
         help="budget on the number of square submatrices the matrix has "
         "(not the number the test examines)",
     )
-    p.set_defaults(func=cmd_tu)
 
 
 def _analyse_arguments(p: argparse.ArgumentParser) -> None:
@@ -576,16 +552,15 @@ def _analyse_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sd", type=float, default=1.0, help="confounder sd (--simulate)")
     p.add_argument("--replications", type=int, default=1000, help="replication count")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (--simulate)")
-    p.set_defaults(func=cmd_analyse)
 
 
-# name -> (help, adds the subcommand's own arguments), in the usage's order
-_SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
-    "catalog": ("generate a catalog design", _catalog_arguments),
-    "circuits": ("compute a circuit basis", _circuits_arguments),
-    "randomise": ("enumerate or check randomisation systems", _randomise_arguments),
-    "tu": ("test total unimodularity", _tu_arguments),
-    "analyse": ("exact estimates and block diagnostics", _analyse_arguments),
+# name -> (help, adds the subcommand's own arguments, runs it), in the usage's order
+_SUBCOMMANDS: dict[str, tuple[str, Callable, Callable[[argparse.Namespace], int]]] = {
+    "catalog": ("generate a catalog design", _catalog_arguments, cmd_catalog),
+    "circuits": ("compute a circuit basis", _circuits_arguments, cmd_circuits),
+    "randomise": ("enumerate or check randomisation systems", _randomise_arguments, cmd_randomise),
+    "tu": ("test total unimodularity", _tu_arguments, cmd_tu),
+    "analyse": ("exact estimates and block diagnostics", _analyse_arguments, cmd_analyse),
 }
 
 
@@ -615,7 +590,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Circuit bases and valid randomisation systems, exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, parents=[common], help=help_text))
     return parser
 
@@ -640,7 +615,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = args.func(args)
+        code = _SUBCOMMANDS[args.command][2](args)
         # flush inside the try, so a closed pipe is caught here
         sys.stdout.flush()
         return code

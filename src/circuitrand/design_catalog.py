@@ -88,10 +88,14 @@ def choice_k_of_2k(k: int) -> DesignModel:
 
     Runs are the ``comb(2k, k)`` subsets in lexicographic order; the matrix
     is the subset/attribute 0/1 incidence.  ``k < 2`` raises ``ValueError``;
-    more than ``MAX_RUNS`` runs raises :class:`OutOfBudgetError`.
+    more than ``MAX_RUNS`` runs raises :class:`OutOfBudgetError`, before
+    ``comb(2k, k)`` is computed once ``2^k`` alone exceeds the budget.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    # comb(2k, k) >= 2^k, and 2^k > MAX_RUNS from k = MAX_RUNS.bit_length() on
+    if k >= MAX_RUNS.bit_length():
+        raise OutOfBudgetError(f"k = {k} gives at least 2^{k} runs, beyond the budget of {MAX_RUNS}")
     n = comb(2 * k, k)
     if n > MAX_RUNS:
         raise OutOfBudgetError(f"{n} runs exceed the budget of {MAX_RUNS}")

@@ -83,6 +83,8 @@ def test_block_shift_invariance_input_checks(model_2cubed):
         block_shift_invariance(
             model_2cubed, RandomisationSystem(4, [[0, 1], [2, 3]]), [0] * 8, [1, 1]
         )
+    with pytest.raises(DimensionMismatchError, match="^response length does not match the model$"):
+        block_shift_invariance(model_2cubed, good, [0] * 7, [1, 1, 1, 1])
 
 
 def test_naive_block_bias_exact_half(model_2cubed):
@@ -371,3 +373,8 @@ def test_simulate_ab_validation():
         simulate_ab(n1=3, n2=3, theta=(0.0, 0.0), confounder_sd=-1.0, replications=5, seed=1)
     with pytest.raises(ValueError):
         simulate_ab(n1=3, n2=3, theta=(0.0, 0.0), confounder_sd=1.0, replications=0, seed=1)
+
+
+def test_lse_estimates_refuses_a_response_of_the_wrong_length(model_2cubed):
+    with pytest.raises(DimensionMismatchError, match="^response length does not match the model$"):
+        lse_estimates(model_2cubed, [0] * 7)

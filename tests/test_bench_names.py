@@ -60,3 +60,30 @@ def test_every_catalog_name_in_the_workloads_exists():
     assert {"latin_square_blocks", "choice_complementary_pairs", "LatinSquare"} <= names
     catalog = importlib.import_module("circuitrand.design_catalog")
     assert sorted(name for name in names if not hasattr(catalog, name)) == []
+
+
+def called_names(module: str) -> set[str]:
+    """The bare names called inside the function bodies of ``circuitrand.<module>``."""
+    path = Path(importlib.import_module(f"circuitrand.{module}").__file__)
+    return {
+        node.func.id
+        for function in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_every_traced_name_is_called_by_name():
+    """A traced name the module only imports, or calls some other way, would
+    let a refactor route around its span and leave the layer reading zero."""
+    names = patched_names()
+    assert ("cli", "covariance_comparison") in names
+    uncalled = [
+        f"{module}.{attr}"
+        for module, attr in names
+        # kept importable only for the tracer; the module calls binary_circuit_vectors
+        if (module, attr) != ("randomisation", "circuit_basis")
+        and attr not in called_names(module)
+    ]
+    assert uncalled == []

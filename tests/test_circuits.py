@@ -596,3 +596,9 @@ def test_conformal_decompose_rejects_non_kernel_vectors():
 def test_zero_vector_decomposes_to_nothing():
     basis = circuit_basis(TWO_CUBED_T)
     assert conformal_decompose([0] * 8, basis) == []
+
+
+def test_conformal_decompose_rejects_a_vector_of_the_wrong_length():
+    basis = circuit_basis(TWO_CUBED_T)
+    with pytest.raises(ValueError, match="^vector length does not match the matrix column count$"):
+        conformal_decompose([0] * 7, basis)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import functools
 import hashlib
@@ -11,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -260,6 +262,10 @@ def test_catalog_digraph_empty_edges(capsys, tmp_path, text):
         (["choice", "--k", "1"], "k must be at least 2, got 1"),
         (["factorial", "--k", "13"], "k must be between 1 and 12, got 13"),
         (["anova2", "--I", "1", "--J", "3"], "a two-way layout needs at least two levels per factor"),
+        (["choice", "--k", "8"], "12870 runs exceed the budget of 4096"),
+        (["choice", "--k", "12"], "2704156 runs exceed the budget of 4096"),
+        # from k = 13 on, 2^k alone exceeds the budget and comb(2k, k) is never computed
+        (["choice", "--k", "13"], "k = 13 gives at least 2^13 runs, beyond the budget of 4096"),
     ],
 )
 def test_catalog_parameter_errors_are_pinned(capsys, argv, message):
@@ -292,6 +298,15 @@ def test_catalog_anova2_over_budget(capsys):
     assert code == 2
     assert "4160 runs exceed the budget of 4096" in err
     assert out == ""
+
+
+def test_catalog_choice_refuses_a_huge_k_without_computing_its_runs(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["catalog", "choice", "--k", "2000000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    # the budget message, not Python's integer string conversion text
+    assert err == "circuitrand: k = 2000000 gives at least 2^2000000 runs, beyond the budget of 4096\n"
 
 
 def test_circuits_summary(capsys, contrast_file):
@@ -789,6 +804,15 @@ def test_closed_stdout_of_a_short_report_exits_quietly():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_a_value_error_other_than_the_digit_limit_propagates(contrast_file, monkeypatch):
+    def refuse(matrix, size_cap):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(cli, "is_totally_unimodular", refuse)
+    with pytest.raises(ValueError, match="^not a digit limit$"):
+        cli.main(["tu", contrast_file])
 
 
 def test_tu_budget(capsys, contrast_file):
@@ -1453,3 +1477,31 @@ def test_a_request_builds_only_its_subcommand_parser(capsys, tmp_path):
             cli.main(argv)
         assert exc.value.code == code
         assert getattr(capsys.readouterr(), stream).startswith(usage)
+
+
+def test_each_cli_decision_is_made_in_one_place():
+    tree = ast.parse(Path(cli.__file__).read_text(), cli.__file__)
+    format_readers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "format"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    assert format_readers == {"_emit"}
+    # commands are dispatched from _SUBCOMMANDS, not through parser defaults
+    assert not any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "set_defaults"
+        for node in ast.walk(tree)
+    )
+    # analyse checks a blocking through covariance_comparison
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert "_check_blocks" not in imported
+    assert not hasattr(cli, "_check_blocks")

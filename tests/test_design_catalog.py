@@ -140,3 +140,8 @@ def test_digraph_design_requires_balance():
 def test_digraph_design_budget(edges):
     with pytest.raises(OutOfBudgetError):
         digraph_design(DirectedGraph.from_edges(edges))
+
+
+def test_latin_square_rejects_a_row_that_repeats_a_symbol():
+    with pytest.raises(ValueError, match="^each symbol must appear exactly once per row$"):
+        LatinSquare(((0, 0), (1, 1)))

@@ -259,3 +259,33 @@ def test_the_public_constructors_check_every_entry(bad):
         IntMatrix.from_rows([[1, 0], [0, bad]])
     with pytest.raises(TypeError):
         IntMatrix(2, 2, ((1, 0), (0, bad)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: IntMatrix(-1, 0, ()), "matrix dimensions must be non-negative"),
+        (lambda: IntMatrix.from_rows([]), "n_cols is required for a matrix with no rows"),
+        (
+            lambda: IntMatrix.from_rows([[1]]).hstack(IntMatrix.from_rows([[1], [2]])),
+            "hstack needs matching row counts",
+        ),
+        (
+            lambda: IntMatrix.from_rows([[1, 2]]).mul(IntMatrix.from_rows([[1, 2]])),
+            "inner dimensions do not match",
+        ),
+        (
+            lambda: IntMatrix.from_rows([[1, 2]]).mul_vector([1]),
+            "vector length does not match column count",
+        ),
+        (
+            lambda: rational_solve(IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1], [2]])),
+            "right-hand side row count does not match",
+        ),
+    ],
+    ids=["negative", "no-rows", "hstack", "mul", "mul-vector", "solve-rhs"],
+)
+def test_shape_mismatches_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        call()
+    assert type(exc.value) is ValueError

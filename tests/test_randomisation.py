@@ -414,3 +414,8 @@ def small_models(draw):
 @example(hand_built_model(8, [(1, -2, -2, 2, -2, 0, 2, 1)]))
 def test_is_decomposable_matches_brute_force(model):
     assert_decomposable_matches_brute_force(model)
+
+
+def test_refines_refuses_systems_of_different_run_counts():
+    with pytest.raises(DimensionMismatchError, match="^systems have different run counts$"):
+        refines(RandomisationSystem(2, [(0, 1)]), RandomisationSystem(4, [(0, 1, 2, 3)]))

@@ -164,3 +164,15 @@ def test_network_matrix_is_tu_without_the_scan():
     assert is_totally_unimodular(m, size_cap=10**30)
     assert is_totally_unimodular(m.transpose(), size_cap=10**30)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "n_vertices, edges, message",
+    [
+        (-1, (), "vertex count must be non-negative"),
+        (2, ((0, 2),), r"edge \(0, 2\) has an endpoint out of range"),
+    ],
+)
+def test_a_graph_outside_its_vertices_is_refused(n_vertices, edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DirectedGraph(n_vertices, edges)
