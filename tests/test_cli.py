@@ -507,6 +507,72 @@ def test_randomise_listing_is_pinned(capsys, tmp_path, edges_file, name, fmt, in
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LISTINGS[name, fmt, include_full]
 
 
+def _listing_contents(out: str, fmt: str) -> tuple[frozenset, tuple, int]:
+    """A `randomise --enumerate --shapes --lattice` report, read without its order.
+
+    Returns the set of systems, each a frozenset of 1-based block tuples,
+    the shape table as ``(shape, count)`` pairs, and the number of lattice
+    edges.
+    """
+    if fmt == "records":
+        data = json.loads(out)
+        systems = [[tuple(b) for b in s] for s in data["systems"]]
+        shapes = tuple((tuple(shape), n) for shape, n in data["shapes"])
+        edges = len(data["lattice_edges"])
+    else:
+        lines = out.splitlines()
+        at_shapes = lines.index("shapes:")
+        at_edges = next(i for i, line in enumerate(lines) if line.startswith("lattice-edges="))
+        systems = [
+            [tuple(map(int, b.strip("{}").split(","))) for b in line.split()]
+            for line in lines[1:at_shapes]
+        ]
+        assert lines[0] == f"systems={len(systems)}"
+        shapes = tuple(
+            (tuple(map(int, shape.split("+"))), int(n))
+            for shape, n in map(str.split, lines[at_shapes + 1 : at_edges])
+        )
+        edges = int(lines[at_edges].removeprefix("lattice-edges="))
+        assert len(lines) == at_edges + 1 + edges
+    found = frozenset(frozenset(s) for s in systems)
+    assert len(found) == len(systems)
+    return found, shapes, edges
+
+
+# sha256 of what _listing_contents reads from the same reports, by the same
+# keys; independent of the listing order, and equal across the two formats
+PINNED_LISTING_CONTENTS = {
+    ("2^4", "human", False): "bf4670f4c7255e85071ad19dbac2baf58922fd7866c940c9fa94471ac3352798",
+    ("2^4", "human", True): "1f4515f699f0f4917590f5817987eef3df980285fbe8425a71db296bf8e92905",
+    ("2^4", "records", False): "bf4670f4c7255e85071ad19dbac2baf58922fd7866c940c9fa94471ac3352798",
+    ("2^4", "records", True): "1f4515f699f0f4917590f5817987eef3df980285fbe8425a71db296bf8e92905",
+    ("digraph5", "human", False): "c1ee8ec7453143d8b7d3e1113daff2b33f055c8d2aadcbfc4d4ba734c4f5d75f",
+    ("digraph5", "human", True): "c03175786c317d5aaf393b4b5f13b7a2c31e04e413dc653222311f4eaa33fa00",
+    ("digraph5", "records", False): "c1ee8ec7453143d8b7d3e1113daff2b33f055c8d2aadcbfc4d4ba734c4f5d75f",
+    ("digraph5", "records", True): "c03175786c317d5aaf393b4b5f13b7a2c31e04e413dc653222311f4eaa33fa00",
+    ("choice k=3", "human", False): "9c990fb1a730a098855d095ba99174d172ab41e83daec0329ca71cac2b4539ce",
+    ("choice k=3", "human", True): "046dcac8c999d1a7678860b87f474141e164ccb9914440cb94708c70b718e412",
+    ("choice k=3", "records", False): "9c990fb1a730a098855d095ba99174d172ab41e83daec0329ca71cac2b4539ce",
+    ("choice k=3", "records", True): "046dcac8c999d1a7678860b87f474141e164ccb9914440cb94708c70b718e412",
+    ("anova 4x4", "human", False): "1bc5f6761841972e0904cd334d08b8d2a7e00165f7fa204ad0bf5dce05fa2e13",
+    ("anova 4x4", "human", True): "646cce806e0a9bc652b8f1575f8ba3b73ae68a87141aa81ec75cf90f025de4a9",
+    ("anova 4x4", "records", False): "1bc5f6761841972e0904cd334d08b8d2a7e00165f7fa204ad0bf5dce05fa2e13",
+    ("anova 4x4", "records", True): "646cce806e0a9bc652b8f1575f8ba3b73ae68a87141aa81ec75cf90f025de4a9",
+}
+
+
+@pytest.mark.parametrize("name, fmt, include_full", sorted(PINNED_LISTING_CONTENTS))
+def test_randomise_listing_contents_are_pinned(capsys, tmp_path, edges_file, name, fmt, include_full):
+    design = _pinned_design(name, tmp_path, edges_file, capsys)
+    argv = ["randomise", design, "--enumerate", "--shapes", "--lattice", "--format", fmt]
+    code, out, err = run(capsys, argv + ["--include-full"] * include_full)
+    assert (code, err) == (0, "")
+    systems, shapes, edges = _listing_contents(out, fmt)
+    canonical = repr((sorted(sorted(s) for s in systems), shapes, edges))
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    assert digest == PINNED_LISTING_CONTENTS[name, fmt, include_full]
+
+
 class _CountingSink(io.TextIOBase):
     """A stdout that counts the characters written to it and keeps none."""
 
@@ -625,7 +691,10 @@ def _seeded_blockings(name: str, model) -> list[tuple[list[list[int]], int]]:
     n = model.n_runs
     rng = random.Random(f"check-and-analyse:{name}")
     catalog = enumerate_circuit_randomisations(model)
-    valid = [[list(catalog.supports[i]) for i in c] for c in rng.sample(catalog.covers, 2)]
+    # the systems in the order 0.5.0 listed them, so the draws stay put when
+    # the listing order changes: blocks by (size, first run), systems sorted
+    listed = sorted(sorted(s.blocks, key=lambda b: (len(b), b[0])) for s in catalog.systems)
+    valid = [list(map(list, blocks)) for blocks in rng.sample(listed, 2)]
     out = [(blocks, len(blocks)) for blocks in valid]
     for _ in range(2):
         runs = rng.sample(range(n), n)
