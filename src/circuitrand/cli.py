@@ -285,7 +285,7 @@ def _int_list_template(n: int, indent: int) -> str:
     return f"{pad}[\n" + ",\n".join([f"{pad}  %d"] * n) + f"\n{pad}]"
 
 
-def _format_block(block: tuple[int, ...]) -> str:
+def _format_block(block: Sequence[int]) -> str:
     return "{" + ",".join(str(i + 1) for i in block) + "}"
 
 
@@ -402,15 +402,16 @@ def cmd_randomise(args: argparse.Namespace) -> int:
 def _randomise_check(args: argparse.Namespace, model: ContrastModel) -> int:
     blocks = _read(args.check, parse_blocks_text)
     try:
-        system = RandomisationSystem(model.n_runs, blocks)
+        RandomisationSystem(model.n_runs, blocks)
     except ValueError as exc:
         raise CliError(EXIT_INVALID_SYSTEM, f"invalid system: {exc}") from exc
-    violation = _block_violation(model, system.blocks)
+    # the first non-orthogonal block in file order, the order analyse reads
+    violation = _block_violation(model, blocks)
     if violation is not None:
         block, j, product = violation
         raise CliError(
             EXIT_INVALID_SYSTEM,
-            f"invalid system: block {_format_block(block)} has inner "
+            f"invalid system: block {_format_block(sorted(block))} has inner "
             f"product {product} with contrast column {j + 1}",
         )
     _emit(args, ["valid"], {"valid": True})

@@ -64,6 +64,13 @@ def anova_two_way(n_rows: int, n_cols: int) -> DesignModel:
     """
     if n_rows < 2 or n_cols < 2:
         raise ValueError("a two-way layout needs at least two levels per factor")
+    # the other factor has two levels or more, so past MAX_RUNS // 2 levels the
+    # cells exceed the budget, and a count too long to print is never formed
+    if max(n_rows, n_cols) > MAX_RUNS // 2:
+        raise OutOfBudgetError(
+            f"a factor of more than {MAX_RUNS // 2} levels gives more than {MAX_RUNS} runs, "
+            f"beyond the budget of {MAX_RUNS}"
+        )
     if n_rows * n_cols > MAX_RUNS:
         raise OutOfBudgetError(f"{n_rows * n_cols} runs exceed the budget of {MAX_RUNS}")
     rows = []
@@ -195,8 +202,10 @@ def digraph_design(g: DirectedGraph) -> DesignModel:
     ``MAX_RUNS`` edges or vertices raises :class:`OutOfBudgetError`.
     """
     if max(g.n_edges, g.n_vertices) > MAX_RUNS:
+        # a vertex count past the budget is left out: it may be too long to print
+        vertices = g.n_vertices if g.n_vertices <= MAX_RUNS else f"more than {MAX_RUNS}"
         raise OutOfBudgetError(
-            f"{g.n_edges} edges on {g.n_vertices} vertices exceed the budget of {MAX_RUNS}"
+            f"{g.n_edges} edges on {vertices} vertices exceed the budget of {MAX_RUNS}"
         )
     if not is_eulerian_balanced(g):
         raise NotBalancedError("every vertex must have equal in- and out-degree")

@@ -41,8 +41,9 @@ class RandomisationSystem:
 
     The blocks may come in any order.  They are checked in the order given,
     by :func:`_check_blocks` and then for covering every run, and stored
-    0-based, each sorted ascending, ordered by (size, smallest element), so
-    equal partitions compare and hash equal.
+    0-based, each sorted ascending, in plain tuple order, which for disjoint
+    blocks is the order of their smallest runs, so equal partitions compare
+    and hash equal.
     """
 
     n_runs: int
@@ -54,8 +55,7 @@ class RandomisationSystem:
         # disjoint blocks of runs below n_runs cover them all when sizes sum to it
         if sum(map(len, blocks)) != self.n_runs:
             raise ValueError("blocks must partition the runs exactly once each")
-        blocks = sorted(map(tuple, map(sorted, blocks)), key=lambda b: (len(b), b[0]))
-        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "blocks", tuple(sorted(map(tuple, map(sorted, blocks)))))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -89,14 +89,14 @@ class SchemeCatalog:
     """All valid circuit-based randomisation systems of one contrast model.
 
     A view of the exact-cover search: ``supports`` are the blocks the
-    search could use, sorted by (size, smallest run), and each entry of
-    ``covers`` is one system, the ascending indices of its blocks in
-    ``supports``.  Ascending indices are the canonical block order, and the
-    covers are listed in the order of their block tuples, the order
-    :func:`_cover_systems` describes.  ``len``, ``shape_counts`` and
-    ``refinement_edges`` read the indices alone; ``systems`` builds and
-    validates every :class:`RandomisationSystem` on first read and keeps
-    them, so a listing that never reads it builds none.
+    search could use, in tuple order, and each entry of ``covers`` is one
+    system, the ascending indices of its blocks in ``supports``.  Ascending
+    indices are the canonical block order, and the covers are listed in the
+    order of their block tuples, the order :func:`_cover_systems` finds
+    them in.  ``len``, ``shape_counts`` and ``refinement_edges`` read the
+    indices alone; ``systems`` builds and validates every
+    :class:`RandomisationSystem` on first read and keeps them, so a listing
+    that never reads it builds none.
     """
 
     model: ContrastModel
@@ -117,9 +117,10 @@ class SchemeCatalog:
     @property
     def shape_counts(self) -> dict[tuple[int, ...], int]:
         """Systems per multiset of block sizes, shapes descending."""
-        # a cover's blocks come in ascending size, so reversed is the shape
         sizes = [len(s) for s in self.supports]
-        shapes = Counter(tuple(map(sizes.__getitem__, reversed(c))) for c in self.covers)
+        shapes = Counter(
+            tuple(sorted(map(sizes.__getitem__, c), reverse=True)) for c in self.covers
+        )
         return dict(sorted(shapes.items(), reverse=True))
 
     @property
@@ -183,28 +184,22 @@ def _cover_systems(
     """Every exact cover of ``range(n)`` by the distinct ``supports``.
 
     ``supports`` are ascending run tuples of size >= 2.  Returns
-    ``(supports, covers)``: the supports sorted by (size, first run), and
-    each cover as the tuple of its ascending indices into them.  Depth-first
-    search over the bitmask of uncovered runs, branching on the lowest one
-    (Knuth, "Dancing Links", 2000): a block that covers that run and lies
-    inside the uncovered runs must start at it, so only the blocks grouped
-    under their first run are tried, and each cover is reached exactly once.
-    Because of the (size, first run) sort, a cover's ascending indices list
-    its blocks in canonical order.
+    ``(supports, covers)``: the supports in tuple order, and each cover as
+    the tuple of its ascending indices into them, the covers in the order
+    of their block tuples.  Depth-first search over the bitmask of
+    uncovered runs, branching on the lowest one (Knuth, "Dancing Links",
+    2000): a block that covers that run and lies inside the uncovered runs
+    must start at it, so only the blocks grouped under their first run are
+    tried, and each cover is reached exactly once.
 
-    The covers are sorted as their block tuples would sort, without
-    building those.  Give each support its rank in plain tuple order; rank
-    comparison is then order-isomorphic to block comparison, and equal
-    ranks mean equal blocks, since the supports are distinct.  Two covers
-    therefore compare as their block tuples do wherever their rank
-    sequences first differ.  They always differ within the shorter one:
-    both partition the same runs, so no cover's block list is a proper
-    prefix of another's.  Packing each rank sequence left-aligned into one
-    integer, a fixed-width field per block and zeros after the last,
-    keeps that first difference in the most significant field where the
-    two differ, so one integer per cover is the sort key.
+    The search lists the covers already sorted.  Each step picks the block
+    of the lowest uncovered run, which starts later than every block picked
+    before it, so the chosen indices ascend and list the blocks in tuple
+    order.  Two covers first differ at the block of some run r, and the
+    search tries run r's supports in tuple order, so it reaches the smaller
+    cover first.
     """
-    supports = sorted(supports, key=lambda s: (len(s), s[0]))
+    supports = sorted(supports)
     starting_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx, s in enumerate(supports):
         starting_at[s[0]].append((sum(1 << i for i in s), idx))
@@ -213,7 +208,7 @@ def _cover_systems(
 
     def search(remaining: int) -> None:
         if not remaining:
-            covers.append(tuple(sorted(chosen)))
+            covers.append(tuple(chosen))
             return
         for mask, idx in starting_at[(remaining & -remaining).bit_length() - 1]:
             if mask & remaining == mask:
@@ -222,15 +217,6 @@ def _cover_systems(
                 chosen.pop()
 
     search((1 << n) - 1)
-    if covers:
-        rank = [0] * len(supports)
-        for r, idx in enumerate(sorted(range(len(supports)), key=supports.__getitem__)):
-            rank[idx] = r
-        width = (len(supports) - 1).bit_length()
-        fields = max(map(len, covers))
-        # field p of a cover's key holds the rank of its block p
-        shifted = [[r << width * (fields - 1 - p) for r in rank] for p in range(fields)]
-        covers.sort(key=lambda c: sum(map(list.__getitem__, shifted, c)))
     return supports, covers
 
 
@@ -253,10 +239,10 @@ def enumerate_circuit_randomisations(
     single-block cover, so both are dropped; so is the empty cover of no
     runs.  The trivial single-block randomisation, valid for every model,
     is listed only when ``include_full`` is set: its block, usually not a
-    circuit support, joins the search as one more support, the last in
-    (size, first run) order, and forms the one single-block cover.  Systems
-    are sorted by their canonical block tuples; the refinement edges follow
-    in closed form, as :class:`SchemeCatalog` describes.
+    circuit support, joins the search as one more support and forms the one
+    single-block cover.  Systems are sorted by their canonical block tuples;
+    the refinement edges follow in closed form, as :class:`SchemeCatalog`
+    describes.
     """
     n = model.n_runs
     supports = [

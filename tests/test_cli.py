@@ -236,6 +236,25 @@ def test_catalog_digraph_over_budget(capsys, tmp_path):
     assert "budget" in err
 
 
+_DIGRAPH_VERTEX_BUDGET = "2 edges on more than 4096 vertices exceed the budget of 4096"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2\n2 1\n" * 2049, "4098 edges on 2 vertices exceed the budget of 4096"),
+        # a vertex count past the budget is not printed, however long
+        (f"1 {'9' * 4300}\n{'9' * 4300} 1\n", _DIGRAPH_VERTEX_BUDGET),
+        ("1 4097\n4097 1\n", _DIGRAPH_VERTEX_BUDGET),
+    ],
+    ids=["edges", "4300-digit vertex", "vertex 4097"],
+)
+def test_catalog_digraph_budget_messages_are_pinned(capsys, tmp_path, text, message):
+    p = tmp_path / "edges.txt"
+    p.write_text(text)
+    assert run(capsys, ["catalog", "digraph", "--edges", str(p)]) == (2, "", f"circuitrand: {message}\n")
+
+
 def test_catalog_digraph_sparse_within_budget(capsys, tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("1 4096\n4096 1\n")
@@ -253,6 +272,11 @@ def test_catalog_digraph_empty_edges(capsys, tmp_path, text):
     assert err == f"circuitrand: {p}: empty edges file\n"
 
 
+_ANOVA_FACTOR_BUDGET = (
+    "a factor of more than 2048 levels gives more than 4096 runs, beyond the budget of 4096"
+)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -266,6 +290,10 @@ def test_catalog_digraph_empty_edges(capsys, tmp_path, text):
         (["choice", "--k", "12"], "2704156 runs exceed the budget of 4096"),
         # from k = 13 on, 2^k alone exceeds the budget and comb(2k, k) is never computed
         (["choice", "--k", "13"], "k = 13 gives at least 2^13 runs, beyond the budget of 4096"),
+        (["anova2", "--I", "2049", "--J", "2"], _ANOVA_FACTOR_BUDGET),
+        # past 2,048 levels the run count is never formed: 2,200 nines squared
+        # has more digits than Python prints
+        (["anova2", "--I", "9" * 2200, "--J", "9" * 2200], _ANOVA_FACTOR_BUDGET),
     ],
 )
 def test_catalog_parameter_errors_are_pinned(capsys, argv, message):
@@ -420,6 +448,28 @@ def test_randomise_check_invalid(capsys, design_file, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "text, block, product",
+    [
+        ("1 2 3 4\n5 6\n7 8\n", "{1,2,3,4}", 4),
+        ("5 6\n1 2 3 4\n7 8\n", "{5,6}", -2),
+        # runs inside the named block are printed ascending
+        ("8 7\n4 3 2 1\n6 5\n", "{7,8}", -2),
+    ],
+)
+def test_randomise_check_names_the_first_bad_block_in_file_order(
+    capsys, design_file, tmp_path, text, block, product
+):
+    p = tmp_path / "blocks.txt"
+    p.write_text(text)
+    assert run(capsys, ["randomise", design_file, "--check", str(p)]) == (
+        4,
+        "",
+        f"circuitrand: invalid system: block {block} has inner product {product} "
+        "with contrast column 1\n",
+    )
+
+
 def test_randomise_requires_intercept(capsys, tmp_path):
     p = tmp_path / "noj.txt"
     p.write_text("3 1\n1\n0\n0\n")
@@ -471,18 +521,18 @@ PINNED_DESIGNS = {
 # format and --include-full, as listed when every system was built, sorted
 # and formatted from its blocks
 PINNED_LISTINGS = {
-    ("2^4", "human", False): "c9b5ab0a15898ad0bc419b909b0f43ccf4e7a44aef5c09b3612bcb05a317a750",
-    ("2^4", "human", True): "534a0f666d861d9453407d2131257a8bd83952d0d4ba337dc0bd38dfadffa182",
-    ("2^4", "records", False): "e242d6ef8735325bcb2aeb9c857ebcf77bf586aa2472a353c7cce0d76135633b",
-    ("2^4", "records", True): "18119cb95a9436fec78d5e138e67e0878c0d0a99cad8ed136720f2cd41f03339",
-    ("digraph5", "human", False): "9ce14306643e56c7a08c053cdfb820b32b3b5cab20c6e25dc2f0747ec1c10677",
-    ("digraph5", "human", True): "58e22aeee2615a16652c54d7b2f9c97f795f3b376f05b897c6e0efe5d2c07891",
-    ("digraph5", "records", False): "4bd8dc6e344930a427587fb6425eedb778b871f67abe7dd48f6d95190a5130bf",
-    ("digraph5", "records", True): "c818d17c319651a3369de866f0d7eeb6c73d6da9ef537df8736f8a52d6e6c75b",
-    ("choice k=3", "human", False): "21ae9ccb406fdf8f4e28c7b88fbbdb25ee3c34546a421c31f6607daac6dbdf6e",
-    ("choice k=3", "human", True): "6642ea3efa2532bc749b9832505dc7fbf3d9585dc06ccfbbb33e4671b232db3a",
-    ("choice k=3", "records", False): "0e8b1f6c2082baa1a95247a8ae07947da99fc9459991636dd70aa9aeb778fdf0",
-    ("choice k=3", "records", True): "224cde4b838063d4a02025876e94484fddab6018f13f840f08c7b187477e31b3",
+    ("2^4", "human", False): "0b57de0ef797ca494630f3fdee4a9dbb453ab66ffd56058beb5bb4d643b49233",
+    ("2^4", "human", True): "6499127b03b49a03fc692a1a6cef49ffb4cffdc03128a49a327736202d7804c6",
+    ("2^4", "records", False): "6994aa378deff34f05825a098480199f9e0c9f5605f8a48b88b5d12385af59c2",
+    ("2^4", "records", True): "ee3ac4911f6402a7c274529d4352d33230abbc15b68bada3fc27ed40d667520b",
+    ("digraph5", "human", False): "d4994ff058f4dff4b2782e151594f9564a5fbef8657f447a6197702040ef181c",
+    ("digraph5", "human", True): "6e70b67660331d33dfc659922285c09fc6795887a9e8a45181326d89b5739d86",
+    ("digraph5", "records", False): "7b7d96b13a0ccf90af92ccb0a3e0b7afab87fb94d12a6614d82517b3138464bb",
+    ("digraph5", "records", True): "5b0ac57ee26e30c136405b9421c4e31cba57ccf425ac75551442b857b28e9052",
+    ("choice k=3", "human", False): "0f34476c2f882a0802b8411095ff0cdbf4a5c2e52d4b8730e9ac53bf158a21da",
+    ("choice k=3", "human", True): "8300a17419b9930ada448415a0a3d2e56bde4955b6de907924e4dd3eeecdf0d9",
+    ("choice k=3", "records", False): "15ba8ddfed0780b4de464961dda16a353604b2b41a8582bb47adbcba4d87222d",
+    ("choice k=3", "records", True): "69c9f59a5b5e31dd242d4c724fe43969a5fa7fe7048fdc6c652f7fb85dcece88",
     ("anova 4x4", "human", False): "708761bfddf0c35f19f165336d41c904471dc099dfa79be57e4d32e87f0c5e0b",
     ("anova 4x4", "human", True): "c30e22cd1c93b4bdcec2121cc48b55a7db5dce0cbe16c3687b80e9a8d9160350",
     ("anova 4x4", "records", False): "286a498d0142187cf758914529ef48c52add943abe12f7e5363f4182cfeb2985",
@@ -728,11 +778,11 @@ PINNED_CHECKS = {
     ),
     ('2^4', 'check', 'human'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        '8ac93b7001de3c6f11a0f0f4f6342c190f65a021de6ca68a51ab92ea2bbf8f54',
+        '85f60019c6a5706bc20a0704e8dc8a4824838fac7f4a09e8eb9b9fd47d70816d',
     ),
     ('2^4', 'check', 'records'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        'ce8c8d6edefb5912f9af81ed831a6e9f8071e23d50e1a1511e4237e5c457bdc1',
+        'f2ddfe2c010b3feb5a54e0642bd4d7756fe2a9010d23e2013edf7060a71925ed',
     ),
     ('anova 4x4', 'analyse', 'human'): (
         (0, 0, 0, 0, 4, 4, 4, 2),
@@ -744,11 +794,11 @@ PINNED_CHECKS = {
     ),
     ('anova 4x4', 'check', 'human'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        'ecb619357de59c07023c96db6291c46896ef40e94149b7c8b2df521d69680f4b',
+        '996706d887163aa5a1f83bef9294347228192c0e74518c608bfea09441db76ad',
     ),
     ('anova 4x4', 'check', 'records'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        'b3c5e937ca0bc1e496c8ae278b43b8fdd5af0a4fcb17d2de670de9cc157ef7fc',
+        '6016e8c79fd361af84c006928014ca06d7172225f88d4acff45785a160928eb6',
     ),
     ('choice k=3', 'analyse', 'human'): (
         (0, 0, 0, 0, 4, 4, 4, 2),
@@ -760,11 +810,11 @@ PINNED_CHECKS = {
     ),
     ('choice k=3', 'check', 'human'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        'e04a01eb7edc177e71d4f6311a496e431059d286f7f04170af99642b0a200a41',
+        'f29f8f9fc22d539b7fe91050d293db59eb38ceae63d5abbfac0d8c21662854e7',
     ),
     ('choice k=3', 'check', 'records'): (
         (0, 0, 4, 4, 4, 4, 4, 0),
-        '776eb6c50ec81c017b46196ca2effb767aaf48a85d7515c2ed2f94f248e9588a',
+        '07da38fef29d682a25a9dc0a00323c045fc1c2b85780532ab6db1577fc1fd32e',
     ),
 }
 

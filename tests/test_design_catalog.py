@@ -55,6 +55,10 @@ def test_anova_two_way_budget():
         anova_two_way(65, 64)
     with pytest.raises(OutOfBudgetError):
         anova_two_way(100_000, 100_000)
+    # refused from the levels alone: the 5,001-digit run count, too long to
+    # print, is never formed
+    with pytest.raises(OutOfBudgetError, match="^a factor of more than 2048 levels"):
+        anova_two_way(2, 10**5000)
 
 
 def test_choice_design_structure():
@@ -140,6 +144,12 @@ def test_digraph_design_requires_balance():
 def test_digraph_design_budget(edges):
     with pytest.raises(OutOfBudgetError):
         digraph_design(DirectedGraph.from_edges(edges))
+
+
+def test_digraph_design_budget_does_not_print_a_huge_vertex_count():
+    g = DirectedGraph.from_edges([(0, 10**5000), (10**5000, 0)])
+    with pytest.raises(OutOfBudgetError, match="^2 edges on more than 4096 vertices exceed"):
+        digraph_design(g)
 
 
 def test_latin_square_rejects_a_row_that_repeats_a_symbol():

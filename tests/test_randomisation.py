@@ -1,3 +1,4 @@
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -91,6 +92,8 @@ def test_constructor_canonicalises_order():
     assert s.blocks == ((0, 1), (2, 3), (4, 5))
     t = RandomisationSystem(6, [[2, 3, 4, 5], [0, 1]])
     assert t.blocks == ((0, 1), (2, 3, 4, 5))
+    # plain tuple order, by smallest run: a larger block may come first
+    assert RandomisationSystem(6, [[4, 5], [0, 1, 2, 3]]).blocks == ((0, 1, 2, 3), (4, 5))
 
 
 def test_shape_descending():
@@ -149,8 +152,8 @@ def test_shapes_are_sorted_only_when_read(model_2fourth, monkeypatch):
     at = next(i for i, s in enumerate(catalog.systems) if len(s.blocks) == 1)
     assert catalog.refinement_edges == tuple((at, j) for j in range(len(catalog)) if j != at)
     assert calls == []
-    # the table reads each cover's support sizes, which come in ascending
-    # order, so no system's shape is built or sorted for it
+    # the table sorts each cover's support sizes, so no system's shape is
+    # built or sorted for it
     counts = catalog.shape_counts
     assert calls == []
     assert sum(counts.values()) == len(catalog)
@@ -210,27 +213,24 @@ def block_families(draw):
 def _listed_blocks(n, supports):
     """The block tuples of every cover ``_cover_systems`` lists, in its order."""
     ordered, covers = _cover_systems(n, supports)
-    assert ordered == sorted(supports, key=lambda s: (len(s), s[0]))
+    assert ordered == sorted(supports)
     return [tuple(map(ordered.__getitem__, c)) for c in covers]
 
 
 def _check_covers_against_brute_force(n, supports, shuffled):
-    expected = {
-        frozenset(chosen)
+    # every subset of the supports that partitions the runs, blocks sorted
+    expected = sorted(
+        tuple(sorted(chosen))
         for k in range(1, len(supports) + 1)
         for chosen in combinations(supports, k)
         if sorted(i for b in chosen for i in b) == list(range(n))
-    }
+    )
     listed = _listed_blocks(n, supports)
-    assert {frozenset(blocks) for blocks in listed} == expected
-    assert len(listed) == len(expected)
-    assert listed == sorted(listed)
+    assert listed == expected
     # each listed cover is already in the constructor's canonical block order
     for blocks in listed:
         assert RandomisationSystem(n, blocks).blocks == blocks
-    # indices follow the input order among supports that tie on (size, first
-    # run), so the listings are compared by their blocks
-    assert _listed_blocks(n, shuffled) == listed
+    assert _cover_systems(n, shuffled) == _cover_systems(n, supports)
 
 
 @settings(max_examples=300, deadline=None)
@@ -241,19 +241,31 @@ def test_cover_systems_equal_subset_brute_force(family, data):
 
 
 def test_cover_systems_sort_in_the_all_runs_block():
-    # the block of all the runs is the last support in (size, first run)
-    # order, and its one-block cover is listed among the others by blocks
+    # the block of all the runs sorts among the supports by tuple order, and
+    # its one-block cover among the covers by blocks, larger blocks first
+    # wherever they hold the smaller run
     supports = [(0, 1, 2, 3, 4, 5), (2, 3), (0, 1), (4, 5), (0, 1, 2, 3), (0, 4), (1, 2, 3, 5)]
     _check_covers_against_brute_force(6, supports, supports[::-1])
     ordered, covers = _cover_systems(6, supports)
-    assert ordered[-1] == (0, 1, 2, 3, 4, 5)
-    assert (len(ordered) - 1,) in covers
+    assert ordered[2] == (0, 1, 2, 3, 4, 5)
+    assert covers == [(0, 5, 6), (1, 6), (2,), (3, 4)]
     assert _listed_blocks(6, supports) == [
         ((0, 1), (2, 3), (4, 5)),
+        ((0, 1, 2, 3), (4, 5)),
         ((0, 1, 2, 3, 4, 5),),
         ((0, 4), (1, 2, 3, 5)),
-        ((4, 5), (0, 1, 2, 3)),
     ]
+
+
+@pytest.mark.parametrize("size, latin_squares", [(3, 12), (4, 576), (5, 161_280)])
+def test_anova_listing_is_sorted(size, latin_squares):
+    # the systems of anova IxI are its Latin squares up to relabelling the
+    # symbols, L(I) / I! of them, listed in the order of their block tuples
+    catalog = enumerate_circuit_randomisations(to_contrast_form(anova_two_way(size, size)))
+    listed = [tuple(map(catalog.supports.__getitem__, c)) for c in catalog.covers]
+    assert len(listed) == latin_squares // math.factorial(size)
+    assert listed == sorted(listed)
+    assert listed == [s.blocks for s in catalog.systems]
 
 
 VIEW_DESIGNS = {
