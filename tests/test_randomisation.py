@@ -241,9 +241,9 @@ def test_cover_systems_equal_subset_brute_force(family, data):
 
 
 def test_cover_systems_sort_in_the_all_runs_block():
-    # the block of all the runs sorts among the supports by tuple order, and
-    # its one-block cover among the covers by blocks, larger blocks first
-    # wherever they hold the smaller run
+    # the block of all the runs sorts among the supports, and its one-block
+    # cover among the covers, in plain tuple order: after (0, 1, 2, 3), a
+    # prefix of it, and so after the cover that starts with that block
     supports = [(0, 1, 2, 3, 4, 5), (2, 3), (0, 1), (4, 5), (0, 1, 2, 3), (0, 4), (1, 2, 3, 5)]
     _check_covers_against_brute_force(6, supports, supports[::-1])
     ordered, covers = _cover_systems(6, supports)
