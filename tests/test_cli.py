@@ -510,11 +510,19 @@ def test_randomise_records(capsys, design_file):
     assert code == 0
 
 
+# a balanced multidigraph on 4 vertices whose 15 edges include parallel ones,
+# 1-based: 216 systems in 5 shapes
+MULTIDIGRAPH_EDGES = [
+    (1, 4), (4, 3), (3, 1), (2, 3), (3, 1), (1, 2), (2, 3), (3, 2),
+    (2, 3), (3, 4), (4, 1), (1, 2), (1, 3), (3, 2), (2, 1),
+]
+
 PINNED_DESIGNS = {
     "2^4": ["factorial", "--k", "4"],
     "digraph5": ["digraph", "--edges", "EDGES"],
     "choice k=3": ["choice", "--k", "3"],
     "anova 4x4": ["anova2", "--I", "4", "--J", "4"],
+    "multidigraph": ["digraph", "--edges", "MULTIEDGES"],
 }
 
 # sha256 of stdout for `randomise --enumerate --shapes --lattice`, by design,
@@ -537,12 +545,19 @@ PINNED_LISTINGS = {
     ("anova 4x4", "human", True): "c30e22cd1c93b4bdcec2121cc48b55a7db5dce0cbe16c3687b80e9a8d9160350",
     ("anova 4x4", "records", False): "286a498d0142187cf758914529ef48c52add943abe12f7e5363f4182cfeb2985",
     ("anova 4x4", "records", True): "91660191fc193b72827b55811b76552dba52739fa4b214c9c0117c34973f4e1c",
+    ("multidigraph", "human", False): "e3eb2758c842768276373c3d26f3191af94c046cc7887f518f92bf687f0ab317",
+    ("multidigraph", "human", True): "a8d40699d46ad87a3425d42e0364a20372d441c1f5f435e4ab925ad98bf9c140",
+    ("multidigraph", "records", False): "14715c06b7ce40911371893e3cec3b17b3a133b35f432416f058862505e69abb",
+    ("multidigraph", "records", True): "a3ca2ab1f7ddc5c31f992603bc1b0e958e8fb155dec763e3c6d11a12334106cf",
 }
 
 
 def _pinned_design(name, tmp_path, edges_file, capsys) -> str:
     p = tmp_path / "design.txt"
-    argv = [edges_file if a == "EDGES" else a for a in PINNED_DESIGNS[name]]
+    multi = tmp_path / "multi.txt"
+    multi.write_text("".join(f"{a} {b}\n" for a, b in MULTIDIGRAPH_EDGES))
+    files = {"EDGES": edges_file, "MULTIEDGES": str(multi)}
+    argv = [files.get(a, a) for a in PINNED_DESIGNS[name]]
     assert cli.main(["catalog", *argv, "-o", str(p)]) == 0
     capsys.readouterr()
     return str(p)
@@ -608,6 +623,10 @@ PINNED_LISTING_CONTENTS = {
     ("anova 4x4", "human", True): "646cce806e0a9bc652b8f1575f8ba3b73ae68a87141aa81ec75cf90f025de4a9",
     ("anova 4x4", "records", False): "1bc5f6761841972e0904cd334d08b8d2a7e00165f7fa204ad0bf5dce05fa2e13",
     ("anova 4x4", "records", True): "646cce806e0a9bc652b8f1575f8ba3b73ae68a87141aa81ec75cf90f025de4a9",
+    ("multidigraph", "human", False): "214995a6dc4de533f6acd828aca7595e506ce6292a68bcd6dac682f779ebaca3",
+    ("multidigraph", "human", True): "20e5062ca772654fea881c54ee4503f1bb72799482d1cfa2513ca2c1dd64faaf",
+    ("multidigraph", "records", False): "214995a6dc4de533f6acd828aca7595e506ce6292a68bcd6dac682f779ebaca3",
+    ("multidigraph", "records", True): "20e5062ca772654fea881c54ee4503f1bb72799482d1cfa2513ca2c1dd64faaf",
 }
 
 
