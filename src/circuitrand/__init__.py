@@ -73,7 +73,7 @@ from .unimodular import (
     is_totally_unimodular,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 __all__ = [
     "AbSummary",

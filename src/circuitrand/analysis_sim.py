@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -166,6 +167,32 @@ def _substream(seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
+def _stdev(xs: Sequence[float]) -> float:
+    """The sample standard deviation: the exact one, correctly rounded.
+
+    ``statistics.stdev`` gives this from Python 3.11 on, but can differ in
+    the last bit on 3.10, so it is computed here the same way on every
+    version: the variance exactly, from the floats' integer ratios over one
+    power-of-two denominator, then its square root rounded to odd with more
+    than two bits to spare past a double's, then rounded once to a float.
+    Raises ``OverflowError`` past the float range.
+    """
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = max(den for _, den in ratios)  # a power of two that every one divides
+    ints = [num * (d // den) for num, den in ratios]
+    k = len(ints)
+    n = k * sum(x * x for x in ints) - sum(ints) ** 2
+    m = k * (k - 1) * d * d
+    q = (n.bit_length() - m.bit_length() - 2 * sys.float_info.mant_dig - 3) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n  # round to odd
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def simulate_ab(
     n1: int,
     n2: int,
@@ -211,7 +238,7 @@ def simulate_ab(
             raise OverflowError
         mean = statistics.fmean(estimates)
         if replications > 1:
-            standard_error = statistics.stdev(estimates) / math.sqrt(replications)
+            standard_error = _stdev(estimates) / math.sqrt(replications)
         else:
             standard_error = math.nan
     except OverflowError:

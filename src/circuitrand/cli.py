@@ -166,8 +166,11 @@ def _rational(tok: str) -> Fraction:
     ``p`` and ``q`` are ASCII digits and ``q`` is not zero.  Every other
     token goes to ``Fraction``'s own parser, once a decimal exponent beyond
     4,300 in absolute value is rejected before ``Fraction`` expands it into
-    a huge integer.
+    a huge integer.  A token holding ``_`` is refused: ``Fraction`` reads
+    ``1_000`` as 1000 from Python 3.11 on and refuses it on 3.10.
     """
+    if "_" in tok:
+        raise ValueError
     num, slash, den = tok.partition("/")
     if tok.isascii() and num.removeprefix("-").isdigit():
         if not slash:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, repeat
 from operator import index
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -116,11 +117,28 @@ class SchemeCatalog:
 
     @property
     def shape_counts(self) -> dict[tuple[int, ...], int]:
-        """Systems per multiset of block sizes, shapes descending."""
-        sizes = [len(s) for s in self.supports]
-        shapes = Counter(
-            tuple(sorted(map(sizes.__getitem__, c), reverse=True)) for c in self.covers
-        )
+        """Systems per multiset of block sizes, shapes descending.
+
+        A counting-by-keys pass (Knuth, TAOCP 4A, section 7.2.1): each
+        distinct support size owns one ``W``-bit field of an integer key,
+        ``W = n_runs.bit_length()``, the largest size in the lowest field.
+        A support adds 1 to its size's field, and no count of blocks reaches
+        ``2**W > n_runs``, so a cover's key is the sum of its supports'
+        codes, summed with no per-cover tuple or sort.  Each distinct key is
+        decoded once into its descending shape.
+        """
+        width = self.model.n_runs.bit_length()
+        sizes = sorted({len(s) for s in self.supports}, reverse=True)
+        field = {size: rank * width for rank, size in enumerate(sizes)}
+        code = [1 << field[len(s)] for s in self.supports]
+        keys = Counter(map(sum, map(partial(map, code.__getitem__), self.covers)))
+        mask = (1 << width) - 1
+        shapes = {
+            tuple(chain.from_iterable(
+                repeat(size, key >> field[size] & mask) for size in sizes
+            )): count
+            for key, count in keys.items()
+        }
         return dict(sorted(shapes.items(), reverse=True))
 
     @property

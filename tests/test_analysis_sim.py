@@ -1,16 +1,19 @@
 import math
 import random
+import statistics
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circuitrand import contrast
 from circuitrand.analysis_sim import (
     CovarianceOrdering,
     RankDeficientError,
+    _stdev,
     block_shift_invariance,
     covariance_comparison,
     lse_contrast_estimates,
@@ -364,6 +367,37 @@ def test_simulate_ab_mean_near_effect():
 def test_simulate_ab_single_replication_has_no_se():
     out = simulate_ab(n1=3, n2=3, theta=(0.0, 0.0), confounder_sd=1.0, replications=1, seed=1)
     assert math.isnan(out.standard_error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=30))
+@example([0.0, 0.0])
+@example([1.0, 2.0, 4.0])
+@example([5e-324, -5e-324, 1e-300])
+def test_stdev_is_the_exact_one_correctly_rounded(xs):
+    exact = list(map(Fraction, xs))
+    mean = sum(exact) / len(exact)
+    variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+    got = _stdev(xs)
+    # the float nearest the square root: its square lies between the squares
+    # of the midpoints to the floats on either side
+    below = (Fraction(math.nextafter(got, 0)) + Fraction(got)) / 2 if got else 0
+    above = (Fraction(got) + Fraction(math.nextafter(got, math.inf))) / 2
+    assert below * below <= variance <= above * above
+    if sys.version_info >= (3, 11):
+        assert got == statistics.stdev(xs)
+
+
+def test_stdev_overflows_past_the_float_range():
+    assert math.isfinite(_stdev([1e308, -1e308]))
+    with pytest.raises(OverflowError):
+        _stdev([1.7e308, -1.7e308])
+
+
+def test_simulate_ab_standard_error_is_pinned():
+    # statistics.stdev on Python 3.10 gives ...405 in the last digits here
+    out = simulate_ab(n1=3, n2=5, theta=(0.0, 0.0), confounder_sd=1.0, replications=20, seed=1)
+    assert (out.mean, out.standard_error) == (0.056170067236897214, 0.16483947663046408)
 
 
 def test_simulate_ab_validation():

@@ -127,9 +127,12 @@ def test_parse_rational_list_reads_each_token_as_fraction_does(token):
         return Fraction(*args)
 
     try:
-        # the parser rejects an exponent beyond 4,300 before Fraction expands it
+        # the parser rejects an exponent beyond 4,300 before Fraction expands
+        # it, and an underscore, which Fraction reads only from Python 3.11 on
         expected = [Fraction(token)] if abs(fraction_exponent(token)) <= 4300 else None
     except (ValueError, ZeroDivisionError):
+        expected = None
+    if "_" in token:
         expected = None
     with mock.patch.object(cli, "Fraction", spy):
         if expected is None:
@@ -1015,6 +1018,26 @@ def test_analyse_names_the_file_with_a_bad_token(capsys, design_file, tmp_path):
     ])
     assert (code, out) == (2, "")
     assert err == f"circuitrand: {gamma}: cannot parse rational number 'x'\n"
+
+
+@pytest.mark.parametrize("flag", ["--y", "--gamma"])
+@pytest.mark.parametrize("token", ["1_000", "1/1_0", "1e1_0"])
+def test_analyse_refuses_an_underscore_on_every_python(capsys, tmp_path, flag, token):
+    # Fraction reads these tokens from Python 3.11 on and refuses them on 3.10
+    design = tmp_path / "f2.txt"
+    assert cli.main(["catalog", "factorial", "--k", "2", "-o", str(design)]) == 0
+    capsys.readouterr()
+    files = {"--system": "1 4\n2 3\n", "--y": "1 2 3 4\n", "--gamma": "1 2\n"}
+    files[flag] = files[flag].replace("1", token, 1)
+    argv = ["analyse", str(design)]
+    for name, text in files.items():
+        path = tmp_path / f"{name[2:]}.txt"
+        path.write_text(text)
+        argv += [name, str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    bad = tmp_path / f"{flag[2:]}.txt"
+    assert err == f"circuitrand: {bad}: cannot parse rational number {token!r}\n"
 
 
 def test_analyse_valid_system_is_invariant(capsys, design_file, tmp_path):

@@ -23,7 +23,7 @@ import circuitrand
 PACKAGE = Path(circuitrand.__file__).parent
 CORE = ["exact_linalg", "circuits", "randomisation", "contrast", "unimodular", "design_catalog"]
 # the float-using Monte Carlo definitions of analysis_sim
-MONTE_CARLO = {"simulate_ab", "_substream", "AbSummary"}
+MONTE_CARLO = {"simulate_ab", "_substream", "_stdev", "AbSummary"}
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
 
 

@@ -21,6 +21,7 @@ from circuitrand.randomisation import (
     DimensionMismatchError,
     NotARandomisationVectorError,
     RandomisationSystem,
+    SchemeCatalog,
     _cover_systems,
     enumerate_circuit_randomisations,
     is_decomposable,
@@ -152,8 +153,8 @@ def test_shapes_are_sorted_only_when_read(model_2fourth, monkeypatch):
     at = next(i for i, s in enumerate(catalog.systems) if len(s.blocks) == 1)
     assert catalog.refinement_edges == tuple((at, j) for j in range(len(catalog)) if j != at)
     assert calls == []
-    # the table sorts each cover's support sizes, so no system's shape is
-    # built or sorted for it
+    # the table sums one packed size code per block of each cover, so no
+    # system's shape is built or sorted for it
     counts = catalog.shape_counts
     assert calls == []
     assert sum(counts.values()) == len(catalog)
@@ -238,6 +239,25 @@ def _check_covers_against_brute_force(n, supports, shuffled):
 def test_cover_systems_equal_subset_brute_force(family, data):
     n, supports = family
     _check_covers_against_brute_force(n, supports, data.draw(st.permutations(supports)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_families())
+@example((0, []))
+@example((5, [(0, 1, 2, 3, 4)]))
+@example((16, [(2 * i, 2 * i + 1) for i in range(8)] + [(0, 1, 2, 3), tuple(range(4, 16))]))
+def test_shape_counts_equal_sorted_block_sizes(family):
+    # the packed tally against one sorted size tuple per cover, on a model
+    # of no contrasts; n = 0 has the one empty cover
+    n, supports = family
+    ordered, covers = _cover_systems(n, supports)
+    model = ContrastModel(IntMatrix.from_rows([()] * n, n_cols=0))
+    catalog = SchemeCatalog(model, tuple(ordered), tuple(covers))
+    counts = catalog.shape_counts
+    assert counts == Counter(
+        tuple(sorted((len(ordered[i]) for i in c), reverse=True)) for c in covers
+    )
+    assert list(counts) == sorted(counts, reverse=True)
 
 
 def test_cover_systems_sort_in_the_all_runs_block():
